@@ -16,8 +16,6 @@ from .models import (
     Answer,
     Model,
     ModelError,
-    Premodel,
-    extends,
     lift_through_trace,
     shrink_small_degree_bag,
     straighten_path_bags,

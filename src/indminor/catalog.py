@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError, _component_masks, bits, set_of
+from .graphs import Graph, GraphError, bits, complete_graph, component_masks
 from .oracle import induced_subgraph_search
 
 KIND_ORDER = (
@@ -46,7 +46,7 @@ class PatternClass:
     parts: tuple[tuple[int, ...], ...] | None = None
 
 
-def _induces_path(g: Graph, comp: int) -> list[int] | None:
+def induces_path(g: Graph, comp: int) -> list[int] | None:
     """Vertex order of the path induced by component mask ``comp``, if any."""
     members = list(bits(comp))
     if len(members) == 1:
@@ -74,8 +74,8 @@ def _induces_path(g: Graph, comp: int) -> list[int] | None:
 
 def is_disjoint_paths(h: Graph) -> bool:
     return all(
-        _induces_path(h, comp) is not None
-        for comp in _component_masks(h.adj, h.full_mask())
+        induces_path(h, comp) is not None
+        for comp in component_masks(h.adj, h.full_mask())
     )
 
 
@@ -86,7 +86,7 @@ def _clique_order(h: Graph) -> int | None:
 
 
 def _clique_plus_isolated(h: Graph) -> int | None:
-    comps = _component_masks(h.adj, h.full_mask())
+    comps = component_masks(h.adj, h.full_mask())
     if len(comps) != 2:
         return None
     sizes = sorted(c.bit_count() for c in comps)
@@ -111,8 +111,8 @@ def is_flower(h: Graph) -> int | None:
     for u in range(h.n):
         rest = h.full_mask() & ~(1 << u)
         ok = True
-        for comp in _component_masks(h.adj, rest):
-            order = _induces_path(h, comp)
+        for comp in component_masks(h.adj, rest):
+            order = induces_path(h, comp)
             if order is None:
                 ok = False
                 break
@@ -167,8 +167,8 @@ def is_generalized_house_or_bull(h: Graph) -> PatternClass | None:
                 if b == c or b in (a, u, v) or c in (a, u, v):
                     continue
                 rest = h.full_mask() & ~((1 << a) | (1 << u) | (1 << v))
-                comps = _component_masks(h.adj, rest)
-                paths = [_induces_path(h, comp) for comp in comps]
+                comps = component_masks(h.adj, rest)
+                paths = [induces_path(h, comp) for comp in comps]
                 if any(p is None for p in paths):
                     continue
                 if len(comps) == 1:
@@ -221,7 +221,9 @@ _FULL_HOUSE = Graph.from_edges(
 )
 
 
-def _isomorphic(a: Graph, b: Graph) -> bool:
+def isomorphic(a: Graph, b: Graph) -> bool:
+    """Exact isomorphism test for small graphs: equal order, size and degree
+    sequence, then an induced copy of ``b`` in ``a``."""
     return (
         a.n == b.n
         and a.edge_count == b.edge_count
@@ -258,9 +260,9 @@ def classify(h: Graph) -> list[PatternClass]:
     cs = is_complete_split(h)
     if cs is not None:
         out.append(PatternClass("complete_split", k=cs[0], p=cs[1], parts=cs[2]))
-    if _isomorphic(h, _GEM):
+    if isomorphic(h, _GEM):
         out.append(PatternClass("gem"))
-    if _isomorphic(h, _FULL_HOUSE):
+    if isomorphic(h, _FULL_HOUSE):
         out.append(PatternClass("full_house"))
     if not out:
         out.append(PatternClass("unsupported"))
@@ -277,7 +279,7 @@ def reconstruct(pc: PatternClass, n: int) -> Graph | None:
         edges += [(a, b) for a in clique for b in indep]
         return Graph.from_edges(n, [(min(a, b), max(a, b)) for a, b in edges])
     if pc.kind == "clique":
-        return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return complete_graph(n)
     return None
 
 
@@ -295,10 +297,6 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycles need at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 _FIXED = {
@@ -331,10 +329,6 @@ _FIXED = {
     ),
     "k4": lambda: complete_graph(4),
 }
-
-
-def catalog_names() -> list[str]:
-    return sorted(_FIXED) + ["path_<n>", "cycle_<n>", "complete_<n>"]
 
 
 def named_graph(name: str) -> Graph:

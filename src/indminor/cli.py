@@ -22,7 +22,7 @@ from .graphs import (
     from_graph6,
     is_pt_free,
 )
-from .models import Answer, ModelError, verify_model, witness_to_dict
+from .models import Answer, witness_to_dict
 from .oracle import SearchCapExceeded, induced_minor_exhaustive
 from .solvers import (
     SolverPreconditionError,
@@ -48,7 +48,6 @@ class DispatchConfig:
     max_oracle_size: int = 12
     require_witness: bool = False
     t_probe: int = 8
-    threads: int = 1
 
 
 def _probe_pt_free(g: Graph, t_probe: int) -> int | None:
@@ -186,17 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="force a witness search in structure-theorem branches",
     )
-    ap.add_argument(
-        "--check-witness",
-        action="store_true",
-        help="re-verify the emitted witness and fail loudly on mismatch",
-    )
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="solver-internal worker budget (current solvers run serially)",
-    )
     return ap
 
 
@@ -207,9 +195,6 @@ def run(argv: list[str]) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         if args.pattern is not None:
             pattern = named_graph(args.pattern)
@@ -223,7 +208,6 @@ def run(argv: list[str]) -> int:
         algorithm=args.algorithm,
         max_oracle_size=args.max_oracle_size,
         require_witness=args.require_witness,
-        threads=args.threads,
     )
     try:
         answer = dispatch(host, pattern, config)
@@ -233,10 +217,6 @@ def run(argv: list[str]) -> int:
     except (SolverPreconditionError, SearchCapExceeded, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.check_witness and answer.witness is not None:
-        if not verify_model(answer.witness):
-            print("error: emitted witness failed verification", file=sys.stderr)
-            return 1
     payload = {
         "contains": answer.contains,
         "method": answer.method,

@@ -47,13 +47,11 @@ def set_of(mask: int) -> frozenset[int]:
 class Graph:
     """A simple undirected graph: ``n`` vertices ``0..n-1``, bitmask adjacency.
 
-    ``adj[v]`` is the open-neighborhood bitmask of ``v``.  Optional ``labels``
-    are carried for presentation only and do not take part in equality.
+    ``adj[v]`` is the open-neighborhood bitmask of ``v``.
     """
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.adj) != self.n:
@@ -68,24 +66,9 @@ class Graph:
             for u in bits(self.adj[v]):
                 if not self.adj[u] >> v & 1:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise GraphError("label count != vertex count")
-
-    # Labels are presentation-only metadata.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     @staticmethod
-    def from_edges(
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Sequence[str] | None = None,
-    ) -> Graph:
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         if n < 0:
             raise GraphError("negative vertex count")
         adj = [0] * n
@@ -96,7 +79,7 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return Graph(n, tuple(adj), tuple(labels) if labels is not None else None)
+        return Graph(n, tuple(adj))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -109,18 +92,18 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        self.check_vertex(u)
+        self.check_vertex(v)
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        self._check_vertex(v)
+        self.check_vertex(v)
         return self.adj[v].bit_count()
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def _check_vertex(self, v: int) -> None:
+    def check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise GraphError(f"vertex {v} out of range for n={self.n}")
 
@@ -152,13 +135,13 @@ class ContractionTrace:
                 raise GraphError(f"preimage of {t} out of source range")
             if m & seen:
                 raise GraphError("preimages overlap")
-            if not _is_connected_mask(self.source.adj, m):
+            if not is_connected_mask(self.source.adj, m):
                 raise GraphError(f"preimage of target vertex {t} is disconnected")
             seen |= m
         if not self.allows_deletions and seen != self.source.full_mask():
             raise GraphError("preimages do not cover the source graph")
         for t in range(self.target.n):
-            nbr_t = _neighbor_mask(self.source.adj, mask_of(self.preimage[t]))
+            nbr_t = neighbor_mask(self.source.adj, mask_of(self.preimage[t]))
             for s in range(t + 1, self.target.n):
                 touching = bool(nbr_t & mask_of(self.preimage[s]))
                 if touching != self.target.has_edge(t, s):
@@ -168,10 +151,10 @@ class ContractionTrace:
 
 
 # ---------------------------------------------------------------------------
-# mask-level helpers shared by the operations below and by the solvers
+# mask-level helpers shared by the operations below and by the other modules
 
 
-def _neighbor_mask(adj: Sequence[int], m: int) -> int:
+def neighbor_mask(adj: Sequence[int], m: int) -> int:
     """Open neighborhood of the vertex set ``m`` (excludes ``m`` itself)."""
     out = 0
     mm = m
@@ -182,7 +165,8 @@ def _neighbor_mask(adj: Sequence[int], m: int) -> int:
     return out & ~m
 
 
-def _closed_neighbor_mask(adj: Sequence[int], m: int) -> int:
+def closed_neighbor_mask(adj: Sequence[int], m: int) -> int:
+    """Closed neighborhood of the vertex set ``m`` (includes ``m``)."""
     out = m
     mm = m
     while mm:
@@ -192,7 +176,8 @@ def _closed_neighbor_mask(adj: Sequence[int], m: int) -> int:
     return out
 
 
-def _is_connected_mask(adj: Sequence[int], m: int) -> bool:
+def is_connected_mask(adj: Sequence[int], m: int) -> bool:
+    """Whether ``m`` is non-empty and induces a connected subgraph."""
     if not m:
         return False
     start = m & -m
@@ -211,7 +196,7 @@ def _is_connected_mask(adj: Sequence[int], m: int) -> bool:
     return reached == m
 
 
-def _component_masks(adj: Sequence[int], m: int) -> list[int]:
+def component_masks(adj: Sequence[int], m: int) -> list[int]:
     """Connected components of the subgraph induced by mask ``m``,
     ordered by smallest member."""
     comps = []
@@ -239,26 +224,11 @@ def _component_masks(adj: Sequence[int], m: int) -> list[int]:
 # structural operations
 
 
-def neighbors(g: Graph, v: int) -> frozenset[int]:
-    """Open neighborhood of ``v``."""
-    g._check_vertex(v)
-    return set_of(g.adj[v])
-
-
-def closed_neighborhood_of_set(g: Graph, s: Iterable[int]) -> frozenset[int]:
-    """Union of closed neighborhoods over ``s``; empty for empty ``s``."""
-    m = 0
-    for v in s:
-        g._check_vertex(v)
-        m |= 1 << v
-    return set_of(_closed_neighbor_mask(g.adj, m))
-
-
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by ``s`` plus the new->old vertex map (ascending)."""
     keep = sorted(set(s))
     for v in keep:
-        g._check_vertex(v)
+        g.check_vertex(v)
     index = {old: new for new, old in enumerate(keep)}
     edges = [
         (index[u], index[v])
@@ -266,10 +236,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
         for v in bits(g.adj[u])
         if v in index and u < v
     ]
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[v] for v in keep)
-    return Graph.from_edges(len(keep), edges, labels), tuple(keep)
+    return Graph.from_edges(len(keep), edges), tuple(keep)
 
 
 def quotient_by_preimages(
@@ -304,8 +271,8 @@ def contract_edges_traced(
     groups: list[frozenset[int]] = [frozenset({v}) for v in range(g.n)]
     current = g
     for u, v in edge_list:
-        current._check_vertex(u)
-        current._check_vertex(v)
+        current.check_vertex(u)
+        current.check_vertex(v)
         if not current.has_edge(u, v):
             raise GraphError(f"({u},{v}) is not an edge of the current graph")
         a, b = min(u, v), max(u, v)
@@ -324,15 +291,16 @@ def subdivide_edge(g: Graph, e: tuple[int, int]) -> Graph:
     w = g.n
     edges = [edge for edge in g.edges() if edge != (min(u, v), max(u, v))]
     edges += [(u, w), (v, w)]
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels) + ("",)
-    return Graph.from_edges(g.n + 1, edges, labels)
+    return Graph.from_edges(g.n + 1, edges)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Maximal connected vertex sets, ordered by smallest vertex."""
-    return [set_of(m) for m in _component_masks(g.adj, g.full_mask())]
+    return [set_of(m) for m in component_masks(g.adj, g.full_mask())]
 
 
 def biconnected_components(g: Graph) -> list[frozenset[int]]:
@@ -416,22 +384,27 @@ def is_pt_free(g: Graph, t: int) -> bool:
 
 
 def is_p4_free(g: Graph) -> bool:
-    """Cograph test by complement-reducibility (independent of is_pt_free)."""
+    """Cograph test by complement-reducibility (independent of is_pt_free).
+
+    A graph is P4-free iff every induced subgraph on two or more vertices is
+    disconnected or has a disconnected complement.  The parts still to split
+    wait on an explicit stack, so deep cotrees (threshold graphs) need no
+    recursion.
+    """
     full = g.full_mask()
-
-    def reducible(mask: int) -> bool:
+    co_adj = [~row & full & ~(1 << v) for v, row in enumerate(g.adj)]
+    stack = [full]
+    while stack:
+        mask = stack.pop()
         if mask.bit_count() <= 1:
-            return True
-        comps = _component_masks(g.adj, mask)
-        if len(comps) > 1:
-            return all(reducible(c) for c in comps)
-        co_adj = [~g.adj[v] & full & ~(1 << v) for v in range(g.n)]
-        co_comps = _component_masks(co_adj, mask)
-        if len(co_comps) == 1:
-            return False
-        return all(reducible(c) for c in co_comps)
-
-    return reducible(full)
+            continue
+        parts = component_masks(g.adj, mask)
+        if len(parts) == 1:
+            parts = component_masks(co_adj, mask)
+            if len(parts) == 1:
+                return False
+        stack.extend(parts)
+    return True
 
 
 def is_complete_multipartite(g: Graph) -> list[frozenset[int]] | None:
@@ -468,18 +441,33 @@ def is_wheel(g: Graph) -> bool:
         if g.adj[hub] == 0:
             continue
         rim = g.full_mask() & ~(1 << hub)
-        if _mask_is_cycle(g, rim):
+        if cycle_order(g, rim) is not None:
             return True
     return False
 
 
-def _mask_is_cycle(g: Graph, m: int) -> bool:
-    if m.bit_count() < 3:
-        return False
-    for v in bits(m):
+def cycle_order(g: Graph, m: int) -> list[int] | None:
+    """The vertices of ``m`` in cyclic order when they induce a cycle, else
+    ``None``; the order starts at the smallest vertex and steps to its
+    smaller cycle neighbour."""
+    members = list(bits(m))
+    if len(members) < 3:
+        return None
+    for v in members:
         if (g.adj[v] & m).bit_count() != 2:
-            return False
-    return _is_connected_mask(g.adj, m)
+            return None
+    order = [members[0]]
+    seen = 1 << members[0]
+    while True:
+        nxt = g.adj[order[-1]] & m & ~seen
+        if not nxt:
+            break
+        w = (nxt & -nxt).bit_length() - 1
+        order.append(w)
+        seen |= 1 << w
+    if len(order) != len(members):
+        return None
+    return order
 
 
 def shortest_path_avoiding(
@@ -507,7 +495,7 @@ def shortest_path_avoiding(
     d = 0
     while frontier:
         d += 1
-        nxt = _neighbor_mask(g.adj, frontier) & allowed
+        nxt = neighbor_mask(g.adj, frontier) & allowed
         nxt &= ~mask_of(dist)
         for v in bits(nxt):
             dist[v] = d

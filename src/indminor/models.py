@@ -1,4 +1,4 @@
-"""Induced-minor models, premodels, verification, and bag reductions.
+"""Induced-minor models, verification, and bag reductions.
 
 A model assigns every pattern vertex a non-empty connected bag of host
 vertices, with bags pairwise disjoint and adjacent exactly when the pattern
@@ -9,19 +9,18 @@ values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import (
     ContractionTrace,
     Graph,
     GraphError,
-    _component_masks,
-    _is_connected_mask,
-    _neighbor_mask,
     bits,
     from_graph6,
+    is_connected_mask,
     mask_of,
+    neighbor_mask,
     set_of,
     shortest_path_avoiding,
     to_graph6,
@@ -29,7 +28,7 @@ from .graphs import (
 
 
 class ModelError(ValueError):
-    """Structurally invalid model/premodel data (not a failed verification)."""
+    """Structurally invalid model data (not a failed verification)."""
 
 
 @dataclass(frozen=True)
@@ -58,31 +57,6 @@ class Model:
         for b in self.bags:
             out.update(b)
         return frozenset(out)
-
-
-@dataclass(frozen=True)
-class Premodel:
-    """A partial bag assignment: bags may be empty, must stay disjoint."""
-
-    pattern: Graph
-    host: Graph
-    bags: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bags) != self.pattern.n:
-            raise ModelError("one bag per pattern vertex required")
-        seen = 0
-        for b in self.bags:
-            m = mask_of(b)
-            if m & ~self.host.full_mask():
-                raise ModelError("premodel bag out of host range")
-            if m & seen:
-                raise ModelError("premodel bags overlap")
-            seen |= m
-
-    @staticmethod
-    def empty(pattern: Graph, host: Graph) -> Premodel:
-        return Premodel(pattern, host, tuple(frozenset() for _ in range(pattern.n)))
 
 
 @dataclass(frozen=True)
@@ -139,7 +113,7 @@ def verify_model(m: Model) -> bool:
         masks.append(bm)
     owner = [-1] * host.n
     for u, bm in enumerate(masks):
-        if not _is_connected_mask(host.adj, bm):
+        if not is_connected_mask(host.adj, bm):
             return False
         for v in bits(bm):
             owner[v] = u
@@ -154,13 +128,6 @@ def verify_model(m: Model) -> bool:
         if touched[u] & ~(1 << u) != pattern.adj[u]:
             return False
     return True
-
-
-def extends(m: Model, p: Premodel) -> bool:
-    """True iff every premodel bag is contained in the matching model bag."""
-    if m.pattern != p.pattern or m.host != p.host:
-        raise ModelError("model and premodel must share pattern and host")
-    return all(pb <= mb for pb, mb in zip(p.bags, m.bags))
 
 
 def _replace_bag(m: Model, u: int, new_bag: Iterable[int]) -> Model:
@@ -187,7 +154,7 @@ def shrink_small_degree_bag(m: Model, u: int) -> Model:
         return _replace_bag(m, u, set_of(keep))
     attach = []
     for v in nbrs:
-        reach = _neighbor_mask(host.adj, mask_of(m.bags[v])) & bag
+        reach = neighbor_mask(host.adj, mask_of(m.bags[v])) & bag
         attach.append(reach)
     if deg == 1:
         keep = attach[0] & -attach[0]
@@ -246,8 +213,8 @@ def straighten_path_bags(m: Model, p: Sequence[int]) -> Model:
     union = 0
     for v in internals:
         union |= mask_of(current.bags[v])
-    start = _neighbor_mask(host.adj, mask_of(current.bags[a])) & union
-    end = _neighbor_mask(host.adj, mask_of(current.bags[b])) & union
+    start = neighbor_mask(host.adj, mask_of(current.bags[a])) & union
+    end = neighbor_mask(host.adj, mask_of(current.bags[b])) & union
     forbidden = set_of(host.full_mask() & ~union)
     walk = shortest_path_avoiding(host, set_of(start), set_of(end), forbidden)
     assert walk is not None and len(walk) >= k

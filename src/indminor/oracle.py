@@ -1,7 +1,9 @@
-"""Exhaustive, exact reference procedures.
+"""Exact search procedures: the exhaustive reference and the premodel engine.
 
-The induced-minor search assigns each host vertex, in ascending order, either
-to one pattern bag or to "deleted", pruning on the way:
+:func:`induced_minor_exhaustive` (through ``_iter_models``) is the
+reference that the tests hold every solver against.  It assigns each host
+vertex, in ascending order, either to one pattern bag or to "deleted",
+pruning on the way:
 
 * a host edge between two bags whose pattern vertices are non-adjacent kills
   the branch immediately (exact-adjacency violation);
@@ -10,8 +12,18 @@ to one pattern bag or to "deleted", pruning on the way:
 * more empty bags than unassigned vertices, or more missing pattern
   adjacencies than the remaining vertices could create, end the branch.
 
-First-found witnesses are deterministic because vertices are processed
+Its first-found witnesses are deterministic because vertices are processed
 ascending and labels are tried in ascending order with "deleted" last.
+
+:func:`iter_premodels` is the engine under the polynomial solvers.  The
+paper's algorithms guess a premodel of small bags, mostly single vertices,
+and complete the few fat bags by connectivity; the engine does the
+guessing.  It places pattern vertices one at a time in a given order, and
+the candidates of the next vertex form one host mask: the unused vertices,
+cut down to the neighborhoods of the adjacent placed bags and outside the
+closed neighborhoods of the non-adjacent ones.  Singleton bags are the set
+bits of that mask in ascending order; larger bags are connected sets grown
+from a root inside it.
 """
 
 from __future__ import annotations
@@ -22,11 +34,12 @@ from .graphs import (
     ContractionTrace,
     Graph,
     GraphError,
-    _component_masks,
-    _is_connected_mask,
-    _neighbor_mask,
     bits,
+    complete_graph,
+    component_masks,
+    is_connected_mask,
     mask_of,
+    neighbor_mask,
     set_of,
 )
 from .models import Model, lift_through_trace
@@ -36,10 +49,6 @@ DEFAULT_MAX_HOST = 12
 
 class SearchCapExceeded(RuntimeError):
     """The instance exceeds the configured exhaustive-search size cap."""
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph.from_edges(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def _pattern_twin_classes(pattern: Graph, pinned: set[int]) -> list[list[int]]:
@@ -141,10 +150,10 @@ def _iter_models(
 
     def viable(v: int, p: int) -> bool:
         future = full & ~((1 << (v + 1)) - 1)
-        comps = _component_masks(hadj, bagmask[p])
+        comps = component_masks(hadj, bagmask[p])
         if len(comps) > 1:
             for comp in comps:
-                if not _neighbor_mask(hadj, comp) & future:
+                if not neighbor_mask(hadj, comp) & future:
                     return False
         remaining = n - v - 1
         if state["empty"] > remaining:
@@ -159,7 +168,7 @@ def _iter_models(
         region = full & ~((1 << (v + 1)) - 1)
         for bm in bagmask:
             region |= bm
-        comps = _component_masks(hadj, region)
+        comps = component_masks(hadj, region)
         if len(comps) == 1:
             return True
         where = [-1] * h
@@ -184,7 +193,7 @@ def _iter_models(
     def walk(v: int) -> Iterator[tuple[int, ...]]:
         if v == n:
             if state["empty"] == 0 and state["unrealized"] == 0:
-                if all(_is_connected_mask(hadj, bm) for bm in bagmask):
+                if all(is_connected_mask(hadj, bm) for bm in bagmask):
                     yield tuple(bagmask)
             return
         want = forced[v] if forced is not None else None
@@ -236,49 +245,154 @@ def induced_minor_exhaustive(
     return None
 
 
+def _connected_sets(adj: Sequence[int], allowed: int, cap: int) -> Iterator[int]:
+    """Every connected vertex set of at most ``cap`` vertices inside
+    ``allowed``, once each.
+
+    ESU (Wernicke, IEEE/ACM TCBB 2006): a set is grown from its smallest
+    vertex, and a vertex above that root joins the extension frontier only
+    when it neighbors the newest member and no earlier one.  Roots ascend;
+    each root's sets come out depth first.
+    """
+    above = allowed
+    while above:
+        root = above & -above
+        above ^= root
+        yield root
+        if cap == 1:
+            continue
+        r = root.bit_length() - 1
+        # (set, extension frontier, closed neighborhood of the set)
+        stack = [(root, adj[r] & above, adj[r] | root)]
+        while stack:
+            sub, ext, seen = stack[-1]
+            if not ext:
+                stack.pop()
+                continue
+            w = ext & -ext
+            ext ^= w
+            stack[-1] = (sub, ext, seen)
+            grown = sub | w
+            yield grown
+            if len(stack) + 1 < cap:
+                nw = adj[w.bit_length() - 1]
+                stack.append((grown, ext | (nw & above & ~seen), seen | nw))
+
+
+def iter_premodels(
+    host: Graph,
+    pattern: Graph,
+    order: Sequence[int],
+    caps: Sequence[int],
+    free: Sequence[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield every assignment of disjoint connected bags to the pattern
+    vertices in ``order``, as a tuple of host masks indexed by pattern vertex
+    (0 for the vertices outside ``order``).
+
+    The bag of ``u`` has at most ``caps[u]`` vertices.  Two placed bags are
+    adjacent exactly when their pattern vertices are, except for the pairs
+    marked in ``free``: ``free[u]`` is a mask of pattern vertices whose
+    adjacency to ``u`` is neither required nor forbidden (symmetric, like
+    the pattern's adjacency).
+
+    Vertices are placed in ``order``.  Singleton bags are tried in ascending
+    host order, so assignments of cap-1 vertices come out in lexicographic
+    order along ``order``.  A cap-1 vertex with no free partner is taken to
+    keep its single vertex in every completion, so that vertex needs at
+    least the pattern degree.  Larger bags are the connected sets of the
+    candidate mask (:func:`_connected_sets`) that touch every adjacent
+    placed bag.
+    """
+    hadj, padj = host.adj, pattern.adj
+    bags = [0] * pattern.n
+    k = len(order)
+    if k == 0:
+        yield tuple(bags)
+        return
+    if any(caps[u] < 1 for u in order):
+        return
+    degree_masks: dict[int, int] = {}
+    # per position: the cap, the placed vertices the bag must touch and must
+    # avoid, and the host vertices it may occupy
+    levels = []
+    for i, u in enumerate(order):
+        mates = free[u] if free is not None else 0
+        touch, avoid = [], []
+        for w in order[:i]:
+            if mates >> w & 1:
+                continue
+            (touch if padj[u] >> w & 1 else avoid).append(w)
+        room = host.full_mask()
+        if caps[u] == 1 and not mates:
+            d = padj[u].bit_count()
+            if d not in degree_masks:
+                degree_masks[d] = mask_of(
+                    x for x in range(host.n) if hadj[x].bit_count() >= d
+                )
+            room = degree_masks[d]
+        levels.append((caps[u], touch, avoid, room))
+    nbr = [0] * pattern.n  # open neighborhood of each placed bag
+    used = [0] * k  # host vertices taken before each position
+
+    def candidates(i: int) -> int | Iterator[int]:
+        cap, touch, avoid, room = levels[i]
+        allowed = room & ~used[i]
+        for w in avoid:
+            allowed &= ~(nbr[w] | bags[w])
+        if cap == 1:
+            for w in touch:
+                allowed &= nbr[w]
+            return allowed
+        needs = [nbr[w] for w in touch]
+        return (
+            m for m in _connected_sets(hadj, allowed, cap)
+            if all(m & t for t in needs)
+        )
+
+    pending: list[int | Iterator[int]] = [0] * k
+    pending[0] = candidates(0)
+    i = 0
+    while i >= 0:
+        u = order[i]
+        c = pending[i]
+        if c.__class__ is int:
+            bag = c & -c
+            pending[i] = c ^ bag
+        else:
+            bag = next(c, 0)
+        if not bag:
+            bags[u] = 0
+            i -= 1
+            continue
+        bags[u] = bag
+        if bag & (bag - 1):
+            nbr[u] = neighbor_mask(hadj, bag)
+        else:
+            nbr[u] = hadj[bag.bit_length() - 1]
+        if i + 1 == k:
+            yield tuple(bags)
+            continue
+        i += 1
+        used[i] = used[i - 1] | bag
+        pending[i] = candidates(i)
+
+
 def induced_subgraph_search(
     host: Graph, pattern: Graph
 ) -> tuple[int, ...] | None:
     """Injective map realizing ``pattern`` as an induced subgraph, or ``None``.
 
-    Backtracking with adjacency and degree pruning; exact.  The returned
-    tuple maps pattern vertex ``u`` to host vertex ``map[u]``.
+    The premodel engine with every cap 1, pattern vertices by descending
+    degree; exact.  The returned tuple maps pattern vertex ``u`` to host
+    vertex ``map[u]``.
     """
-    n, h = host.n, pattern.n
-    if h > n:
+    h = pattern.n
+    if h > host.n:
         return None
     order = sorted(range(h), key=lambda u: (-pattern.adj[u].bit_count(), u))
-    image = [-1] * h
-    used = 0
-
-    def place(i: int) -> bool:
-        nonlocal used
-        if i == h:
-            return True
-        u = order[i]
-        pu = pattern.adj[u]
-        du = pu.bit_count()
-        for x in range(n):
-            if used >> x & 1 or host.adj[x].bit_count() < du:
-                continue
-            ok = True
-            for j in range(i):
-                w = order[j]
-                if bool(pu >> w & 1) != bool(host.adj[x] >> image[w] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[u] = x
-            used |= 1 << x
-            if place(i + 1):
-                return True
-            used &= ~(1 << x)
-            image[u] = -1
-        return False
-
-    if place(0):
-        return tuple(image)
+    for bags in iter_premodels(host, pattern, order, [1] * h):
+        return tuple(b.bit_length() - 1 for b in bags)
     return None
 
 

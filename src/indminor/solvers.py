@@ -11,24 +11,25 @@ never a "no".
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import catalog
 from .catalog import PatternClass, classify
 from .graphs import (
     ContractionTrace,
     Graph,
-    _component_masks,
-    _is_connected_mask,
-    _neighbor_mask,
-    bits,
     biconnected_components,
+    bits,
+    closed_neighbor_mask,
+    component_masks,
+    cycle_order,
     induced_subgraph,
     is_complete_multipartite,
     is_p4_free,
     is_pt_free,
     is_wheel,
     mask_of,
+    neighbor_mask,
     quotient_by_preimages,
     set_of,
     shortest_path_avoiding,
@@ -39,6 +40,7 @@ from .oracle import (
     clique_minor_test,
     induced_minor_exhaustive,
     induced_subgraph_search,
+    iter_premodels,
     rooted_clique_minor,
 )
 
@@ -105,62 +107,26 @@ def solve_snt_single(g: Graph, h: Graph, u: int) -> Answer:
     closed neighborhoods of the non-neighbors' bags and touch every
     neighbor's bag.
     """
-    h._check_vertex(u)
+    h.check_vertex(u)
     if h.n > g.n:
         return answer_no("snt_single")
-    order = _premodel_order(h, u)
     nbr_u = h.adj[u]
-    assign: dict[int, int] = {}
-    used = 0
-
-    def component_step() -> Model | None:
-        y_mask = mask_of(assign[v] for v in bits(nbr_u))
-        z_mask = mask_of(
-            assign[v] for v in range(h.n) if v != u and not nbr_u >> v & 1
-        )
-        blocked = y_mask | _closed(g, z_mask)
-        for comp in _component_masks(g.adj, g.full_mask() & ~blocked):
-            reach = _neighbor_mask(g.adj, comp)
-            if all(reach >> y & 1 for y in bits(y_mask)):
-                bags = [
-                    set_of(comp) if w == u else frozenset({assign[w]})
-                    for w in range(h.n)
-                ]
-                return Model(h, g, tuple(bags))
-        return None
-
-    def place(i: int) -> Model | None:
-        nonlocal used
-        if i == len(order):
-            return component_step()
-        v = order[i]
-        for x in range(g.n):
-            if used >> x & 1:
-                continue
-            ok = True
-            for w, y in assign.items():
-                if bool(h.adj[v] >> w & 1) != bool(g.adj[x] >> y & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[v] = x
-            used |= 1 << x
-            found = place(i + 1)
-            used &= ~(1 << x)
-            del assign[v]
-            if found is not None:
-                return found
-        return None
-
-    witness = place(0)
-    if witness is None:
-        return answer_no("snt_single")
-    return answer_yes(witness, "snt_single")
-
-
-def _closed(g: Graph, m: int) -> int:
-    return m | _neighbor_mask(g.adj, m)
+    for bags in iter_premodels(g, h, _premodel_order(h, u), [1] * h.n):
+        y_mask = z_mask = 0
+        for w, bag in enumerate(bags):
+            if nbr_u >> w & 1:
+                y_mask |= bag
+            else:
+                z_mask |= bag
+        blocked = y_mask | closed_neighbor_mask(g.adj, z_mask)
+        for comp in component_masks(g.adj, g.full_mask() & ~blocked):
+            if not y_mask & ~neighbor_mask(g.adj, comp):
+                witness = Model(h, g, tuple(
+                    set_of(comp) if w == u else set_of(bag)
+                    for w, bag in enumerate(bags)
+                ))
+                return answer_yes(witness, "snt_single")
+    return answer_no("snt_single")
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +151,20 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass | None = None) -> Answ
         return answer_no("house_bull")
     a, u, v = pc.roles[0], pc.roles[1], pc.roles[2]
     chain = list(pc.roles[3:])
-    r = len(chain)
     b, c = chain[0], chain[-1]
     interior = chain[1:-1]  # neighborhoods removed around all of these
 
     # premodel adjacency requirements: exact everywhere except u-v and u-b
-    dont_care = {frozenset((u, v)), frozenset((u, b))}
+    free = [0] * h.n
+    free[u] = 1 << v | 1 << b
+    free[v] = free[b] = 1 << u
     if pc.kind == "generalized_bull":
         order = [a, u, v] + chain[: pc.split] + chain[pc.split :][::-1]
     else:
         order = [a, u, v] + chain
     full = g.full_mask()
 
-    def try_premodel(x: dict[int, int]) -> Model | None:
+    def try_premodel(x: list[int]) -> Model | None:
         xa, xu, xv, xb, xc = x[a], x[u], x[v], x[b], x[c]
         blocked = 0
         for w in interior:
@@ -207,8 +174,8 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass | None = None) -> Answ
         # (iii) a whole component as the bag of u
         n_xc = (g.adj[xc] | (1 << xc)) & gp
         avoid = n_xc | (1 << xa) | (1 << xb) | (1 << xv)
-        for comp in _component_masks(g.adj, gp & ~avoid):
-            reach = _neighbor_mask(g.adj, comp)
+        for comp in component_masks(g.adj, gp & ~avoid):
+            reach = neighbor_mask(g.adj, comp)
             if reach >> xa & 1 and reach >> xb & 1 and reach >> xv & 1:
                 bags = [
                     set_of(comp) if w == u else frozenset({x[w]})
@@ -233,7 +200,7 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass | None = None) -> Answ
                 continue
             pv_mask = mask_of(p_v)
             bag_u = xu0
-            if not _neighbor_mask(g.adj, pv_mask) & xu0:
+            if not neighbor_mask(g.adj, pv_mask) & xu0:
                 allowed_w = gp & ~(
                     pv_mask | g.adj[xc] | (1 << xa) | (1 << xb) | (1 << xc)
                 )
@@ -260,39 +227,11 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass | None = None) -> Answ
             return Model(h, g, tuple(bags))
         return None
 
-    assign: dict[int, int] = {}
-    used = 0
-
-    def place(i: int) -> Model | None:
-        nonlocal used
-        if i == len(order):
-            return try_premodel(assign)
-        w = order[i]
-        for y in range(g.n):
-            if used >> y & 1:
-                continue
-            ok = True
-            for w2, y2 in assign.items():
-                if frozenset((w, w2)) in dont_care:
-                    continue  # adjacency permitted but never required here
-                if bool(h.adj[w] >> w2 & 1) != bool(g.adj[y] >> y2 & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[w] = y
-            used |= 1 << y
-            found = place(i + 1)
-            used &= ~(1 << y)
-            del assign[w]
-            if found is not None:
-                return found
-        return None
-
-    witness = place(0)
-    if witness is None:
-        return answer_no("house_bull")
-    return answer_yes(witness, "house_bull")
+    for bags in iter_premodels(g, h, order, [1] * h.n, free):
+        witness = try_premodel([bag.bit_length() - 1 for bag in bags])
+        if witness is not None:
+            return answer_yes(witness, "house_bull")
+    return answer_no("house_bull")
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +259,10 @@ def solve_complete_split(g: Graph, h: Graph, pc: PatternClass | None = None) -> 
     clique_vs, indep_vs = pc.parts
     n = g.n
 
-    candidates = [x for x in range(n) if g.degree(x) >= k]
-    for prem in combinations(candidates, p):
-        if any(g.has_edge(x, y) for x, y in combinations(prem, 2)):
-            continue
+    for premodel in iter_premodels(g, h, indep_vs, [1] * h.n):
+        prem = [premodel[v].bit_length() - 1 for v in indep_vs]
+        if prem != sorted(prem):
+            continue  # independent vertices are twins: take each set once
         x_mask = mask_of(prem)
         rest_vertices = [x for x in range(n) if not x_mask >> x & 1]
         sub, vmap = induced_subgraph(g, rest_vertices)
@@ -365,59 +304,17 @@ def bounded_bag_search(
     """Exhaustive search over disjoint connected bags with per-vertex size
     caps, exact adjacency forward-checked against placed bags.
 
-    Pattern vertices are processed in descending-degree order; candidate
-    bags are enumerated ascending, so the first witness is deterministic.
-    Complete when every cap is at least ``host.n``.
+    The premodel engine with pattern vertices by descending degree: with
+    every cap 1 the first witness is the lexicographically smallest
+    singleton model along that order; larger bags are connected sets grown
+    from ascending roots, depth first.  Deterministic; complete when every
+    cap is at least ``host.n``.
     """
-    n, hn = host.n, pattern.n
-    if hn > n:
+    hn = pattern.n
+    if hn > host.n:
         return None
     order = sorted(range(hn), key=lambda u: (-pattern.adj[u].bit_count(), u))
-    bags = [0] * hn
-    placed_mask = 0
-
-    def candidates(u: int) -> Iterable[int]:
-        allowed = host.full_mask() & ~placed_mask
-        needed = []
-        for w in range(hn):
-            if w == u or not bags[w]:
-                continue
-            if pattern.adj[u] >> w & 1:
-                needed.append(_neighbor_mask(host.adj, bags[w]))
-            else:
-                allowed &= ~_closed(host, bags[w])
-        cap = min(caps[u], n)
-        members = list(bits(allowed))
-        for code in range(1, 1 << len(members)):
-            if code.bit_count() > cap:
-                continue
-            m = 0
-            cc = code
-            while cc:
-                low = cc & -cc
-                m |= 1 << members[low.bit_length() - 1]
-                cc ^= low
-            if any(not m & req for req in needed):
-                continue
-            if not _is_connected_mask(host.adj, m):
-                continue
-            yield m
-
-    def place(i: int) -> bool:
-        nonlocal placed_mask
-        if i == hn:
-            return True
-        u = order[i]
-        for m in candidates(u):
-            bags[u] = m
-            placed_mask |= m
-            if place(i + 1):
-                return True
-            placed_mask &= ~m
-            bags[u] = 0
-        return False
-
-    if place(0):
+    for bags in iter_premodels(host, pattern, order, caps):
         return Model(pattern, host, tuple(set_of(m) for m in bags))
     return None
 
@@ -511,9 +408,9 @@ def solve_gem(
 
 
 def _gem_structure_ok(gb: Graph, xs: int) -> bool:
-    for comp in _component_masks(gb.adj, gb.full_mask() & ~xs):
+    for comp in component_masks(gb.adj, gb.full_mask() & ~xs):
         sub, vmap = induced_subgraph(gb, set_of(comp))
-        path = catalog._induces_path(gb, comp)
+        path = catalog.induces_path(gb, comp)
         if path is not None and all(
             gb.degree(w) == 2 for w in path[1:-1]
         ):
@@ -527,8 +424,8 @@ def _gem_structure_ok(gb: Graph, xs: int) -> bool:
 def _contract_long_paths(gb: Graph, xs: int) -> ContractionTrace:
     preimages: list[frozenset[int]] = []
     merged = 0
-    for comp in _component_masks(gb.adj, gb.full_mask() & ~xs):
-        path = catalog._induces_path(gb, comp)
+    for comp in component_masks(gb.adj, gb.full_mask() & ~xs):
+        path = catalog.induces_path(gb, comp)
         if (
             path is not None
             and len(path) >= 4
@@ -659,7 +556,7 @@ def _subdivision_structure(gb: Graph):
         len(corners), [(index[c1], index[c2]) for c1, c2, _ in branches]
     )
     for kind, named in (("k4", "k4"), ("k33", "k33"), ("prism", "prism")):
-        if catalog._isomorphic(base, catalog.named_graph(named)):
+        if catalog.isomorphic(base, catalog.named_graph(named)):
             return kind, branches, index
     return None
 
@@ -736,31 +633,10 @@ def _cycle_twins_partition(gb: Graph):
         for keep in range(1, len(members) + 1):
             for twins in combinations(members, keep):
                 cyc_mask = gb.full_mask() & ~mask_of(twins)
-                order = _cycle_order(gb, cyc_mask)
+                order = cycle_order(gb, cyc_mask)
                 if order is not None:
                     return order, list(twins), hood
     return None
-
-
-def _cycle_order(gb: Graph, m: int) -> list[int] | None:
-    members = list(bits(m))
-    if len(members) < 3:
-        return None
-    for v in members:
-        if (gb.adj[v] & m).bit_count() != 2:
-            return None
-    order = [members[0]]
-    seen = 1 << members[0]
-    while True:
-        nxt = gb.adj[order[-1]] & m & ~seen
-        if not nxt:
-            break
-        w = (nxt & -nxt).bit_length() - 1
-        order.append(w)
-        seen |= 1 << w
-    if len(order) != len(members):
-        return None
-    return order
 
 
 def _cycle_twins_witness(
@@ -834,7 +710,7 @@ def solve_clique_plus_isolated(
 ) -> Answer:
     """Containment of K_k plus one isolated vertex: pick the isolated bag's
     vertex x, then look for a K_k minor avoiding N[x]."""
-    comps = _component_masks(h.adj, h.full_mask())
+    comps = component_masks(h.adj, h.full_mask())
     singles = [c for c in comps if c.bit_count() == 1]
     others = [c for c in comps if c.bit_count() > 1]
     if others:
@@ -850,7 +726,7 @@ def solve_clique_plus_isolated(
     if h.edge_count != k * (k - 1) // 2:
         raise SolverPreconditionError("pattern is not a clique plus K_1")
     for x in range(g.n):
-        rest = sorted(set_of(g.full_mask() & ~_closed(g, 1 << x)))
+        rest = sorted(set_of(g.full_mask() & ~closed_neighbor_mask(g.adj, 1 << x)))
         if len(rest) < k:
             continue
         sub, vmap = induced_subgraph(g, rest)

@@ -64,7 +64,7 @@ class TestRun:
     def test_positive_with_witness(self, files, capsys):
         host = named_graph("cycle_9")
         gpath = files("g.g6", to_graph6(host))
-        code = run(["--pattern", "cycle_5", "--graph", gpath, "--check-witness"])
+        code = run(["--pattern", "cycle_5", "--graph", gpath])
         out = capsys.readouterr().out
         assert code == 0
         payload = json.loads(out)
@@ -119,11 +119,6 @@ class TestRun:
         first = capsys.readouterr().out
         run(["--pattern", "cycle_5", "--graph", gpath])
         assert capsys.readouterr().out == first
-
-    def test_threads_validated(self, files, capsys):
-        gpath = files("g.g6", to_graph6(named_graph("cycle_5")))
-        assert run(["--pattern", "path_3", "--graph", gpath, "--threads", "0"]) == 1
-        assert run(["--pattern", "path_3", "--graph", gpath, "--threads", "2"]) == 0
 
     def test_require_witness_flag_accepted(self, files, capsys):
         gpath = files("g.g6", to_graph6(named_graph("gem")))

@@ -9,9 +9,7 @@ from indminor.models import (
     Answer,
     Model,
     ModelError,
-    Premodel,
     answer_yes,
-    extends,
     lift_through_trace,
     shrink_small_degree_bag,
     straighten_path_bags,
@@ -80,25 +78,6 @@ class TestVerify:
             assert mine == naive_verify_model(pattern, host, bags)
             hits += mine
         assert hits > 0  # the sample includes genuine models
-
-
-class TestExtends:
-    def test_empty_premodel(self):
-        c4 = named_graph("cycle_4")
-        m = Model.from_bags(c4, c4, [{i} for i in range(4)])
-        assert extends(m, Premodel.empty(c4, c4))
-
-    def test_subset_bag(self):
-        p2, p4 = named_graph("path_2"), named_graph("path_4")
-        m = Model.from_bags(p2, p4, [{2, 3}, {1}])
-        assert extends(m, Premodel(p2, p4, (frozenset({3}), frozenset())))
-        assert not extends(m, Premodel(p2, p4, (frozenset({1}), frozenset())))
-
-    def test_mismatched_host_rejected(self):
-        p2 = named_graph("path_2")
-        m = Model.from_bags(p2, named_graph("path_4"), [{0}, {1}])
-        with pytest.raises(ModelError):
-            extends(m, Premodel.empty(p2, named_graph("path_3")))
 
 
 class TestShrink:

@@ -6,7 +6,11 @@ from conftest import permuted, rand_graph
 from indminor.catalog import classify, named_graph
 from indminor.graphs import Graph, subdivide_edge
 from indminor.models import verify_model
-from indminor.oracle import induced_minor_exhaustive, induced_subgraph_search
+from indminor.oracle import (
+    induced_minor_exhaustive,
+    induced_subgraph_search,
+    iter_induced_minor_models,
+)
 from indminor.solvers import (
     SolverPreconditionError,
     bounded_bag_search,
@@ -222,6 +226,27 @@ class TestBoundedBagSearch:
                 assert (mine is not None) == (
                     induced_minor_exhaustive(g, h) is not None
                 )
+
+    def test_intermediate_caps_match_the_narrowest_model(self, atlas):
+        pats = [named_graph(name) for name in ("cycle_4", "complete_4", "crown")]
+        widths = set()
+        for g in [g for g in atlas if g.n in (6, 7)][::6]:
+            for h in pats:
+                # the widest bag of the model whose widest bag is smallest
+                narrowest = min(
+                    (max(map(len, m.bags)) for m in iter_induced_minor_models(g, h)),
+                    default=None,
+                )
+                widths.add(narrowest)
+                for cap in (1, 2, 3):
+                    found = bounded_bag_search(g, h, [cap] * h.n)
+                    assert (found is not None) == (
+                        narrowest is not None and narrowest <= cap
+                    )
+                    if found is not None:
+                        assert verify_model(found)
+                        assert all(len(bag) <= cap for bag in found.bags)
+        assert widths == {None, 1, 2, 3}  # every cap decides some host
 
 
 class TestGem:
