@@ -7,6 +7,7 @@ from .graphs import (
     Graph,
     GraphError,
     GraphParseError,
+    InvariantViolation,
     from_edgelist,
     from_graph6,
     to_edgelist,

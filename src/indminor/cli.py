@@ -1,8 +1,13 @@
 """Command-line front end: parse graphs, classify the pattern, dispatch.
 
-Exit codes: 0 = decided (JSON on stdout), 1 = malformed input or internal
-error, 2 = unsupported instance (pattern outside the tractable families and
-host too large for the exhaustive search).
+One table, :data:`ROUTES`, says which pattern family goes to which solver.
+:func:`dispatch` walks it in auto mode, ``--algorithm NAME`` forces the row
+named ``NAME`` and the ``--algorithm`` choices are the table's names.
+
+Exit codes: 0 = decided (JSON on stdout), 1 = malformed input, a forced
+route whose precondition fails, or an internal error (a message on stderr),
+2 = unsupported instance (pattern outside the tractable families and host
+too large for the exhaustive search).
 """
 
 from __future__ import annotations
@@ -17,13 +22,13 @@ from .catalog import classify, named_graph
 from .graphs import (
     Graph,
     GraphError,
-    GraphParseError,
+    InvariantViolation,
     from_edgelist,
     from_graph6,
     is_pt_free,
 )
-from .models import Answer, witness_to_dict
-from .oracle import SearchCapExceeded, induced_minor_exhaustive
+from .models import Answer, ModelError, witness_to_dict
+from .oracle import DEFAULT_MAX_HOST, SearchCapExceeded, induced_minor_exhaustive
 from .solvers import (
     SolverPreconditionError,
     solve_clique,
@@ -37,6 +42,9 @@ from .solvers import (
     solve_snt_single,
 )
 
+# longest induced path the P_t-free fallback probes for
+T_PROBE = 8
+
 
 class UnsupportedInstance(Exception):
     """Honest refusal: no exact procedure applies at this input size."""
@@ -45,24 +53,77 @@ class UnsupportedInstance(Exception):
 @dataclass
 class DispatchConfig:
     algorithm: str = "auto"
-    max_oracle_size: int = 12
-    require_witness: bool = False
-    t_probe: int = 8
+    max_oracle_size: int = DEFAULT_MAX_HOST
 
 
-def _probe_pt_free(g: Graph, t_probe: int) -> int | None:
-    for t in range(2, t_probe + 1):
+def _probe_pt_free(g: Graph) -> int | None:
+    for t in range(2, T_PROBE + 1):
         if is_pt_free(g, t):
             return t
     return None
 
 
-def dispatch(g: Graph, h: Graph, config: DispatchConfig | None = None) -> Answer:
-    """Route to the first applicable solver, in family priority order.
+def _pt_free_route(g: Graph, h: Graph) -> Answer | None:
+    t = _probe_pt_free(g)
+    return None if t is None else solve_pt_free(g, h, t)
 
-    Patterns outside every family fall back to hosts without long induced
-    paths, then to the exhaustive oracle under the size cap, and otherwise
-    raise :class:`UnsupportedInstance`.
+
+def _oracle_route(g: Graph, h: Graph, max_oracle_size: int) -> Answer:
+    if g.n > max_oracle_size:
+        raise UnsupportedInstance(f"host exceeds --max-oracle-size {max_oracle_size}")
+    witness = induced_minor_exhaustive(g, h, max_oracle_size)
+    return Answer(witness is not None, "oracle", witness)
+
+
+# One row per route, in dispatch priority order:
+# (classify kinds served, or None for a host-side fallback;
+#  --algorithm name, or None;
+#  auto-mode guard(g, pc, config), or None when the route always applies;
+#  solver(g, h, pc, config), which returns None when a fallback's host
+#  precondition fails).
+# Solvers are looked up by name at call time, so rebinding a module
+# attribute (as the bench tracer does) reaches every route.
+ROUTES = (
+    (("disjoint_paths",), None, None,
+     lambda g, h, pc, cfg: solve_disjoint_paths(g, h)),
+    (("clique",), None,
+     lambda g, pc, cfg: pc.k <= 4 or g.n <= cfg.max_oracle_size,
+     lambda g, h, pc, cfg: solve_clique(g, pc.k, cfg.max_oracle_size)),
+    (("clique_plus_isolated",), None,
+     lambda g, pc, cfg: pc.k <= 4 or g.n <= cfg.max_oracle_size,
+     lambda g, h, pc, cfg: solve_clique_plus_isolated(g, h, cfg.max_oracle_size)),
+    (("flower",), "snt", None,
+     lambda g, h, pc, cfg: solve_snt_single(g, h, pc.center)),
+    (("generalized_house", "generalized_bull"), "house-bull", None,
+     lambda g, h, pc, cfg: solve_house_bull(g, h, pc)),
+    (("complete_split",), "split", lambda g, pc, cfg: pc.k <= 3,
+     lambda g, h, pc, cfg: solve_complete_split(g, h, pc)),
+    (("gem",), "gem", None,
+     lambda g, h, pc, cfg: solve_gem(g, cfg.max_oracle_size)),
+    (("full_house",), "fullhouse", None,
+     lambda g, h, pc, cfg: solve_full_house(g, cfg.max_oracle_size)),
+    (None, "ptfree", None,
+     lambda g, h, pc, cfg: _pt_free_route(g, h)),
+    (None, "oracle", lambda g, pc, cfg: g.n <= cfg.max_oracle_size,
+     lambda g, h, pc, cfg: _oracle_route(g, h, cfg.max_oracle_size)),
+)
+_BY_KIND = {kind: row for row in ROUTES if row[0] for kind in row[0]}
+_FALLBACKS = tuple(row for row in ROUTES if row[0] is None)
+_BY_NAME = {row[1]: row for row in ROUTES if row[1]}
+
+
+def dispatch(g: Graph, h: Graph, config: DispatchConfig | None = None) -> Answer:
+    """Decide by the first route of :data:`ROUTES` that applies.
+
+    In auto mode each family of ``classify(h)``, in priority order, goes to
+    its row when the row's guard holds.  Patterns no such row takes fall
+    back to hosts without long induced paths, then to the exhaustive oracle
+    under the size cap, and otherwise raise :class:`UnsupportedInstance`
+    (``imc`` exit 2).  Any other ``config.algorithm`` runs the row of that
+    name without its guard: a pattern outside the row's families, or a host
+    with an induced P8 under ``ptfree``, raises
+    :class:`~indminor.solvers.SolverPreconditionError` (``imc`` exit 1), and
+    ``oracle`` refuses hosts above the cap with :class:`UnsupportedInstance`.
     """
     config = config or DispatchConfig()
     if config.algorithm != "auto":
@@ -70,38 +131,15 @@ def dispatch(g: Graph, h: Graph, config: DispatchConfig | None = None) -> Answer
     if h.n > g.n:
         return Answer(False, "degenerate")
     for pc in classify(h):
-        kind = pc.kind
-        if kind == "disjoint_paths":
-            return solve_disjoint_paths(g, h)
-        if kind == "clique":
-            if pc.k <= 4 or g.n <= config.max_oracle_size:
-                return solve_clique(g, pc.k, config.max_oracle_size)
-            continue
-        if kind == "clique_plus_isolated":
-            if pc.k <= 4 or g.n <= config.max_oracle_size:
-                return solve_clique_plus_isolated(g, h, config.max_oracle_size)
-            continue
-        if kind == "flower":
-            return solve_snt_single(g, h, pc.center)
-        if kind in ("generalized_house", "generalized_bull"):
-            return solve_house_bull(g, h, pc)
-        if kind == "complete_split":
-            if pc.k <= 3:
-                return solve_complete_split(g, h, pc)
-            continue
-        if kind == "gem":
-            return solve_gem(g, config.require_witness, config.max_oracle_size)
-        if kind == "full_house":
-            return solve_full_house(g, config.require_witness, config.max_oracle_size)
-        break  # unsupported: try the host-restricted fallbacks
-    t = _probe_pt_free(g, config.t_probe)
-    if t is not None:
-        return solve_pt_free(g, h, t)
-    if g.n <= config.max_oracle_size:
-        witness = induced_minor_exhaustive(g, h, config.max_oracle_size)
-        if witness is None:
-            return Answer(False, "oracle")
-        return Answer(True, "oracle", witness)
+        if pc.kind in _BY_KIND:
+            _kinds, _name, guard, solve = _BY_KIND[pc.kind]
+            if guard is None or guard(g, pc, config):
+                return solve(g, h, pc, config)
+    for _kinds, _name, guard, solve in _FALLBACKS:
+        if guard is None or guard(g, None, config):
+            answer = solve(g, h, None, config)
+            if answer is not None:
+                return answer
     raise UnsupportedInstance(
         "pattern lies outside the tractable families and the host exceeds "
         f"the exhaustive-search cap ({config.max_oracle_size} vertices)"
@@ -109,36 +147,24 @@ def dispatch(g: Graph, h: Graph, config: DispatchConfig | None = None) -> Answer
 
 
 def _forced(g: Graph, h: Graph, config: DispatchConfig) -> Answer:
+    """Run the named route without its auto-mode guard."""
     alg = config.algorithm
-    if alg == "oracle":
-        if g.n > config.max_oracle_size:
-            raise UnsupportedInstance(
-                f"host exceeds --max-oracle-size {config.max_oracle_size}"
-            )
-        witness = induced_minor_exhaustive(g, h, config.max_oracle_size)
-        return Answer(witness is not None, "oracle", witness)
-    if alg == "snt":
-        for pc in classify(h):
-            if pc.kind == "flower":
-                return solve_snt_single(g, h, pc.center)
-        raise SolverPreconditionError("--algorithm snt needs a flower pattern")
-    if alg == "house-bull":
-        return solve_house_bull(g, h)
-    if alg == "split":
-        return solve_complete_split(g, h)
-    if alg == "ptfree":
-        t = _probe_pt_free(g, config.t_probe)
-        if t is None:
+    if alg not in _BY_NAME:
+        raise SolverPreconditionError(f"unknown algorithm {alg!r}")
+    kinds, _name, _guard, solve = _BY_NAME[alg]
+    pc = None
+    if kinds is not None:
+        pc = next((pc for pc in classify(h) if pc.kind in kinds), None)
+        if pc is None:
             raise SolverPreconditionError(
-                f"--algorithm ptfree: host is not P_t-free for any t <= "
-                f"{config.t_probe}"
+                f"--algorithm {alg} needs a pattern of kind {' or '.join(kinds)}"
             )
-        return solve_pt_free(g, h, t)
-    if alg == "gem":
-        return solve_gem(g, config.require_witness, config.max_oracle_size)
-    if alg == "fullhouse":
-        return solve_full_house(g, config.require_witness, config.max_oracle_size)
-    raise SolverPreconditionError(f"unknown algorithm {alg!r}")
+    answer = solve(g, h, pc, config)
+    if answer is None:
+        raise SolverPreconditionError(
+            f"--algorithm {alg}: host is not P_t-free for any t <= {T_PROBE}"
+        )
+    return answer
 
 
 def _load_graph(path: str, fmt: str | None) -> Graph:
@@ -165,26 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["graph6", "edgelist"],
         help="input format (default: by extension, .g6 means graph6)",
     )
-    ap.add_argument(
-        "--algorithm",
-        default="auto",
-        choices=[
-            "auto",
-            "oracle",
-            "snt",
-            "house-bull",
-            "split",
-            "ptfree",
-            "gem",
-            "fullhouse",
-        ],
-    )
-    ap.add_argument("--max-oracle-size", type=int, default=12)
-    ap.add_argument(
-        "--require-witness",
-        action="store_true",
-        help="force a witness search in structure-theorem branches",
-    )
+    ap.add_argument("--algorithm", default="auto", choices=["auto", *_BY_NAME])
+    ap.add_argument("--max-oracle-size", type=int, default=DEFAULT_MAX_HOST)
     return ap
 
 
@@ -201,20 +209,22 @@ def run(argv: list[str]) -> int:
         else:
             pattern = _load_graph(args.pattern_file, args.format)
         host = _load_graph(args.graph, args.format)
-    except (GraphParseError, GraphError, OSError) as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config = DispatchConfig(
-        algorithm=args.algorithm,
-        max_oracle_size=args.max_oracle_size,
-        require_witness=args.require_witness,
-    )
+    config = DispatchConfig(args.algorithm, args.max_oracle_size)
     try:
         answer = dispatch(host, pattern, config)
     except UnsupportedInstance as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
-    except (SolverPreconditionError, SearchCapExceeded, GraphError) as exc:
+    except (
+        SolverPreconditionError,
+        SearchCapExceeded,
+        GraphError,
+        ModelError,
+        InvariantViolation,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = {

@@ -24,6 +24,10 @@ class GraphParseError(GraphError):
     """Unparseable graph6 or edge-list input; message carries the position."""
 
 
+class InvariantViolation(RuntimeError):
+    """A claim a theorem guarantees failed to hold: an implementation bug."""
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -258,31 +262,6 @@ def quotient_by_preimages(
     return ContractionTrace(g, target, pre, allows_deletions)
 
 
-def contract_edges_traced(
-    g: Graph, edge_list: Sequence[tuple[int, int]]
-) -> ContractionTrace:
-    """Contract the listed edges left to right, returning the full trace.
-
-    Each pair names an edge of the *current* (progressively contracted)
-    graph.  A contraction merges the two endpoints into the smaller-index
-    one, after which vertices are relabeled densely; parallel edges and
-    loops of the quotient are dropped (simple-graph semantics).
-    """
-    groups: list[frozenset[int]] = [frozenset({v}) for v in range(g.n)]
-    current = g
-    for u, v in edge_list:
-        current.check_vertex(u)
-        current.check_vertex(v)
-        if not current.has_edge(u, v):
-            raise GraphError(f"({u},{v}) is not an edge of the current graph")
-        a, b = min(u, v), max(u, v)
-        groups[a] = groups[a] | groups[b]
-        del groups[b]
-        groups.sort(key=min)
-        current = quotient_by_preimages(g, groups).target
-    return quotient_by_preimages(g, groups)
-
-
 def subdivide_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Replace edge ``e`` by a path through a fresh degree-2 vertex ``n``."""
     u, v = e
@@ -296,11 +275,6 @@ def subdivide_edge(g: Graph, e: tuple[int, int]) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Maximal connected vertex sets, ordered by smallest vertex."""
-    return [set_of(m) for m in component_masks(g.adj, g.full_mask())]
 
 
 def biconnected_components(g: Graph) -> list[frozenset[int]]:

@@ -16,6 +16,7 @@ from .graphs import (
     ContractionTrace,
     Graph,
     GraphError,
+    InvariantViolation,
     bits,
     from_graph6,
     is_connected_mask,
@@ -163,7 +164,8 @@ def shrink_small_degree_bag(m: Model, u: int) -> Model:
     path = shortest_path_avoiding(
         host, set_of(attach[0]), set_of(attach[1]), forbidden
     )
-    assert path is not None  # the bag is connected and touches both sides
+    if path is None:
+        raise InvariantViolation("a connected bag touching both sides has no path")
     return _replace_bag(m, u, path)
 
 
@@ -217,7 +219,8 @@ def straighten_path_bags(m: Model, p: Sequence[int]) -> Model:
     end = neighbor_mask(host.adj, mask_of(current.bags[b])) & union
     forbidden = set_of(host.full_mask() & ~union)
     walk = shortest_path_avoiding(host, set_of(start), set_of(end), forbidden)
-    assert walk is not None and len(walk) >= k
+    if walk is None or len(walk) < k:
+        raise InvariantViolation("straightened internal bags do not form a path")
 
     bags = list(current.bags)
     for i, v in enumerate(internals):

@@ -34,6 +34,7 @@ from .graphs import (
     ContractionTrace,
     Graph,
     GraphError,
+    InvariantViolation,
     bits,
     complete_graph,
     component_masks,
@@ -536,7 +537,8 @@ def clique_minor_test(
             return None
         stuck, preimages = reduced
         inner = rooted_clique_minor(stuck, [(), (), (), ()])
-        assert inner is not None  # min degree >= 3 guarantees a K_4 minor
+        if inner is None:
+            raise InvariantViolation("min degree >= 3 but no K_4 minor found")
         trace = ContractionTrace(host, stuck, preimages, allows_deletions=True)
         return lift_through_trace(inner, trace)
     if host.n > max_host:

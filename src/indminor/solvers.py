@@ -18,6 +18,7 @@ from .catalog import PatternClass, classify
 from .graphs import (
     ContractionTrace,
     Graph,
+    InvariantViolation,
     biconnected_components,
     bits,
     closed_neighbor_mask,
@@ -340,17 +341,16 @@ def solve_pt_free(g: Graph, h: Graph, t: int) -> Answer:
 
 
 def _structure_branch_witness(
-    gb: Graph, pattern: Graph, require_witness: bool, max_oracle: int
+    gb: Graph, pattern: Graph, max_oracle: int
 ) -> Model | None:
-    """Witness search for a yes concluded from a decomposition theorem."""
+    """Witness search for a yes concluded from a decomposition theorem:
+    exhaustive under the oracle cap, else bags of at most 3 vertices."""
     if gb.n <= max_oracle:
         found = induced_minor_exhaustive(gb, pattern, max_oracle)
-        assert found is not None  # the structure theorem guarantees a model
+        if found is None:
+            raise InvariantViolation("the structure theorem promised a model")
         return found
-    caps = [1, 2, 3]
-    if require_witness:
-        caps.append(gb.n)  # complete search; containment is already certain
-    for cap in caps:
+    for cap in (1, 2, 3):
         found = bounded_bag_search(gb, pattern, [cap] * pattern.n)
         if found is not None:
             return found
@@ -365,9 +365,7 @@ def _block_subgraphs(g: Graph, minimum: int) -> list[tuple[Graph, tuple[int, ...
     return out
 
 
-def solve_gem(
-    g: Graph, require_witness: bool = False, max_oracle: int = DEFAULT_MAX_HOST
-) -> Answer:
+def solve_gem(g: Graph, max_oracle: int = DEFAULT_MAX_HOST) -> Answer:
     """Decide containment of the gem (P4 plus a dominating vertex).
 
     Per 2-connected block: look for at most six vertices whose removal
@@ -389,7 +387,7 @@ def solve_gem(
             if found_x is not None:
                 break
         if found_x is None:
-            witness = _structure_branch_witness(gb, gem, require_witness, max_oracle)
+            witness = _structure_branch_witness(gb, gem, max_oracle)
             if witness is not None:
                 return answer_yes(_remap_model(witness, g, vmap), "gem")
             certified = True
@@ -397,7 +395,7 @@ def solve_gem(
         trace = _contract_long_paths(gb, mask_of(found_x))
         gprime = trace.target
         if not is_pt_free(gprime, 28):
-            raise RuntimeError("induced-path bound violated after contraction")
+            raise InvariantViolation("induced-path bound violated after contraction")
         ans = solve_pt_free(gprime, gem, 28)
         if ans.contains:
             lifted = lift_through_trace(ans.witness, trace)
@@ -441,9 +439,7 @@ def _contract_long_paths(gb: Graph, xs: int) -> ContractionTrace:
     return quotient_by_preimages(gb, preimages)
 
 
-def solve_full_house(
-    g: Graph, require_witness: bool = False, max_oracle: int = DEFAULT_MAX_HOST
-) -> Answer:
+def solve_full_house(g: Graph, max_oracle: int = DEFAULT_MAX_HOST) -> Answer:
     """Decide containment of the full house (K4 plus a vertex on two of it).
 
     Per 2-connected block, the four decomposition properties are tested in
@@ -456,7 +452,7 @@ def solve_full_house(
     fh = catalog.named_graph("full_house")
     certified = False
     for gb, vmap in _block_subgraphs(g, 5):
-        ans = _full_house_block(gb, fh, require_witness, max_oracle)
+        ans = _full_house_block(gb, fh, max_oracle)
         if ans.contains and ans.witness is not None:
             return answer_yes(_remap_model(ans.witness, g, vmap), "fullhouse")
         if ans.contains:
@@ -466,9 +462,7 @@ def solve_full_house(
     return answer_no("fullhouse")
 
 
-def _full_house_block(
-    gb: Graph, fh: Graph, require_witness: bool, max_oracle: int
-) -> Answer:
+def _full_house_block(gb: Graph, fh: Graph, max_oracle: int) -> Answer:
     # (1) no K4 minor: nothing containing K4 can appear
     if clique_minor_test(gb, 4) is None:
         return answer_no("fullhouse")
@@ -510,7 +504,7 @@ def _full_house_block(
         witness = _cycle_twins_witness(gb, fh, cycle, twins, hood)
         return answer_yes(witness, "fullhouse")
     # no property holds: the decomposition theorem forces containment
-    witness = _structure_branch_witness(gb, fh, require_witness, max_oracle)
+    witness = _structure_branch_witness(gb, fh, max_oracle)
     if witness is not None:
         return answer_yes(witness, "fullhouse")
     return Answer(True, "fullhouse", None, certified_without_witness=True)
@@ -596,7 +590,8 @@ def _subdivision_witness(gb: Graph, fh: Graph, branches, chosen) -> Model:
     preimages.sort(key=min)
     trace = quotient_by_preimages(gb, preimages)
     core_model = induced_minor_exhaustive(trace.target, fh)
-    assert core_model is not None  # one subdivided edge always hosts a model
+    if core_model is None:
+        raise InvariantViolation("one subdivided edge always hosts a model")
     return lift_through_trace(core_model, trace)
 
 
@@ -660,7 +655,8 @@ def _cycle_twins_witness(
     preimages.sort(key=min)
     trace = quotient_by_preimages(sub, preimages)
     core_model = induced_minor_exhaustive(trace.target, fh)
-    assert core_model is not None  # the characterization guarantees a model
+    if core_model is None:
+        raise InvariantViolation("the characterization promised a model")
     lifted = lift_through_trace(core_model, trace)
     return _remap_model(lifted, gb, vmap)
 

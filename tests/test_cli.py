@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from indminor.catalog import named_graph
-from indminor.cli import DispatchConfig, UnsupportedInstance, dispatch, run
-from indminor.graphs import to_edgelist, to_graph6
-from indminor.models import verify_model, witness_from_dict
+from indminor import cli
+from indminor.catalog import KIND_ORDER, named_graph
+from indminor.cli import ROUTES, DispatchConfig, UnsupportedInstance, dispatch, run
+from indminor.graphs import InvariantViolation, to_edgelist, to_graph6
+from indminor.models import ModelError, verify_model, witness_from_dict
+from indminor.oracle import induced_minor_exhaustive
 
 
 @pytest.fixture()
@@ -47,6 +49,36 @@ class TestDispatch:
     def test_degenerate_size(self):
         a = dispatch(named_graph("path_3"), named_graph("cycle_6"))
         assert not a.contains and a.method == "degenerate"
+
+
+class TestRoutes:
+    def test_every_supported_kind_has_one_row(self):
+        served = [kind for kinds, *_ in ROUTES if kinds for kind in kinds]
+        assert sorted(served) == sorted(k for k in KIND_ORDER if k != "unsupported")
+
+    def test_algorithm_choices_are_the_table_names(self):
+        action = next(
+            a for a in cli._build_parser()._actions if a.dest == "algorithm"
+        )
+        assert action.choices == ["auto"] + [name for _, name, *_ in ROUTES if name]
+
+    @pytest.mark.parametrize(
+        "name, pattern",
+        [
+            ("snt", "cycle_4"),
+            ("house-bull", "house"),
+            ("split", "crown"),
+            ("gem", "gem"),
+            ("fullhouse", "full_house"),
+            ("ptfree", "w4"),
+            ("oracle", "house"),
+        ],
+    )
+    def test_forced_route_decides_its_family(self, name, pattern):
+        g, h = named_graph("cycle_6"), named_graph(pattern)
+        a = dispatch(g, h, DispatchConfig(algorithm=name))
+        assert a.contains == (induced_minor_exhaustive(g, h) is not None)
+        assert a.witness is None or verify_model(a.witness)
 
 
 class TestRun:
@@ -113,6 +145,28 @@ class TestRun:
         gpath = files("g.g6", to_graph6(named_graph("cycle_6")))
         assert run(["--pattern", "gem", "--graph", gpath, "--algorithm", "snt"]) == 1
 
+    @pytest.mark.parametrize("name", ["gem", "fullhouse"])
+    def test_forced_decomposition_route_on_house_exit_1(self, files, capsys, name):
+        gpath = files("g.g6", to_graph6(named_graph("gem")))
+        assert run(["--pattern", "house", "--graph", gpath, "--algorithm", name]) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "error", [ModelError("bad bag"), InvariantViolation("broken promise")]
+    )
+    def test_internal_error_exit_1_without_traceback(
+        self, files, capsys, monkeypatch, error
+    ):
+        def broken(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "solve_house_bull", broken)
+        gpath = files("g.g6", to_graph6(named_graph("cycle_6")))
+        assert run(["--pattern", "house", "--graph", gpath]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(error) in err
+        assert "Traceback" not in err
+
     def test_byte_determinism(self, files, capsys):
         gpath = files("g.g6", to_graph6(named_graph("cycle_9")))
         run(["--pattern", "cycle_5", "--graph", gpath])
@@ -120,8 +174,10 @@ class TestRun:
         run(["--pattern", "cycle_5", "--graph", gpath])
         assert capsys.readouterr().out == first
 
-    def test_require_witness_flag_accepted(self, files, capsys):
+    def test_gem_host_yields_witness(self, files, capsys):
         gpath = files("g.g6", to_graph6(named_graph("gem")))
-        code = run(["--pattern", "gem", "--graph", gpath, "--require-witness"])
+        code = run(["--pattern", "gem", "--graph", gpath])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["witness"] is not None
+        payload = json.loads(capsys.readouterr().out)
+        w = witness_from_dict(payload["witness"], named_graph("gem"))
+        assert verify_model(w)

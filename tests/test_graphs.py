@@ -13,8 +13,7 @@ from indminor.graphs import (
     GraphParseError,
     biconnected_components,
     closed_neighbor_mask,
-    connected_components,
-    contract_edges_traced,
+    component_masks,
     from_edgelist,
     from_graph6,
     induced_subgraph,
@@ -23,6 +22,7 @@ from indminor.graphs import (
     is_pt_free,
     is_wheel,
     neighbor_mask,
+    quotient_by_preimages,
     set_of,
     shortest_path_avoiding,
     subdivide_edge,
@@ -100,21 +100,22 @@ class TestInducedSubgraph:
 
 class TestContraction:
     def test_path_contract(self):
-        tr = contract_edges_traced(named_graph("path_3"), [(0, 1)])
+        tr = quotient_by_preimages(named_graph("path_3"), [{0, 1}, {2}])
         assert tr.target == named_graph("path_2")
         assert tr.preimage == (frozenset({0, 1}), frozenset({2}))
 
     def test_cycle_contract_gives_triangle(self):
-        tr = contract_edges_traced(named_graph("cycle_4"), [(0, 1)])
+        tr = quotient_by_preimages(named_graph("cycle_4"), [{0, 1}, {2}, {3}])
         assert tr.target == named_graph("complete_3")
 
     def test_k4_contract_merges_parallels(self):
-        tr = contract_edges_traced(named_graph("complete_4"), [(0, 1)])
+        tr = quotient_by_preimages(named_graph("complete_4"), [{0, 1}, {2}, {3}])
         assert tr.target == named_graph("complete_3")
 
     def test_non_edge_rejected(self):
+        # contracting the non-edge (0, 2) means a disconnected preimage
         with pytest.raises(GraphError):
-            contract_edges_traced(named_graph("path_3"), [(0, 2)])
+            quotient_by_preimages(named_graph("path_3"), [{0, 2}, {1}])
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
@@ -122,7 +123,9 @@ class TestContraction:
         edges = g.edges()
         if not edges:
             return
-        tr = contract_edges_traced(g, [edges[0]])
+        u, v = edges[0]
+        rest = [{w} for w in range(g.n) if w not in (u, v)]
+        tr = quotient_by_preimages(g, sorted([{u, v}, *rest], key=min))
         assert tr.target.n == g.n - 1
         covered = set()
         for pre in tr.preimage:
@@ -151,16 +154,19 @@ class TestSubdivision:
 
 
 class TestComponents:
+    @staticmethod
+    def components(g):
+        return component_masks(g.adj, g.full_mask())
+
     def test_path_plus_isolated(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
-        assert connected_components(g) == [frozenset({0, 1, 2}), frozenset({3})]
+        assert self.components(g) == [0b0111, 0b1000]
 
     def test_cycle_is_connected(self):
-        assert len(connected_components(named_graph("cycle_6"))) == 1
+        assert len(self.components(named_graph("cycle_6"))) == 1
 
     def test_edgeless(self):
-        comps = connected_components(Graph.from_edges(3, []))
-        assert comps == [frozenset({0}), frozenset({1}), frozenset({2})]
+        assert self.components(Graph.from_edges(3, [])) == [0b001, 0b010, 0b100]
 
 
 class TestBlocks:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import naive_verify_model, rand_graph, random_quotient_model
 from indminor.catalog import named_graph
-from indminor.graphs import Graph, GraphError, contract_edges_traced
+from indminor.graphs import Graph, GraphError, quotient_by_preimages
 from indminor.models import (
     Answer,
     Model,
@@ -193,13 +193,13 @@ def _some_inner_path(pattern):
 class TestLift:
     def test_identity_trace(self):
         c4 = named_graph("cycle_4")
-        tr = contract_edges_traced(c4, [])
+        tr = quotient_by_preimages(c4, [{i} for i in range(4)])
         m = Model.from_bags(c4, c4, [{i} for i in range(4)])
         assert lift_through_trace(m, tr) == m
 
     def test_cycle_contraction(self):
         c4 = named_graph("cycle_4")
-        tr = contract_edges_traced(c4, [(0, 1)])
+        tr = quotient_by_preimages(c4, [{0, 1}, {2}, {3}])
         inner = Model.from_bags(
             named_graph("complete_3"), tr.target, [{0}, {1}, {2}]
         )
@@ -209,7 +209,7 @@ class TestLift:
 
     def test_host_mismatch_rejected(self):
         c4 = named_graph("cycle_4")
-        tr = contract_edges_traced(c4, [(0, 1)])
+        tr = quotient_by_preimages(c4, [{0, 1}, {2}, {3}])
         m = Model.from_bags(c4, c4, [{i} for i in range(4)])
         with pytest.raises(ModelError):
             lift_through_trace(m, tr)
@@ -225,10 +225,9 @@ class TestLift:
             if not host_edges:
                 continue
             picks = rng.sample(host_edges, min(2, len(host_edges)))
-            try:
-                tr = contract_edges_traced(m.host, picks[:1])
-            except GraphError:
-                continue
+            u, v = picks[0]
+            rest = [{w} for w in range(m.host.n) if w not in (u, v)]
+            tr = quotient_by_preimages(m.host, sorted([{u, v}, *rest], key=min))
             inner = random_quotient_model(rng, host_n=tr.target.n)
             if inner is None:
                 continue
