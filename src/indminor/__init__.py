@@ -1,7 +1,6 @@
 """Induced-minor containment: solvers, exhaustive oracles, witness models."""
 
 from .catalog import PatternClass, classify, named_graph
-from .cli import DispatchConfig, UnsupportedInstance, dispatch
 from .graphs import (
     ContractionTrace,
     Graph,
@@ -47,3 +46,13 @@ from .solvers import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # imported on first use: an eager import of ``cli`` here makes
+    # ``python -m indminor.cli`` warn that its package already imported it
+    if name in ("dispatch", "UnsupportedInstance"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,12 +2,14 @@
 
 One table, :data:`ROUTES`, says which pattern family goes to which solver.
 :func:`dispatch` walks it in auto mode, ``--algorithm NAME`` forces the row
-named ``NAME`` and the ``--algorithm`` choices are the table's names.
+named ``NAME`` and the ``--algorithm`` choices are the table's names.  The
+exhaustive search is the last route; it takes hosts of at most
+:data:`~indminor.oracle.MAX_ORACLE_HOST` vertices.
 
 Exit codes: 0 = decided (JSON on stdout), 1 = malformed input, a forced
 route whose precondition fails, or an internal error (a message on stderr),
-2 = unsupported instance (pattern outside the tractable families and host
-too large for the exhaustive search).
+2 = unsupported instance (no polynomial route taken and the host above the
+exhaustive-search cap).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import classify, named_graph
@@ -25,10 +26,10 @@ from .graphs import (
     InvariantViolation,
     from_edgelist,
     from_graph6,
-    is_pt_free,
+    longest_induced_path,
 )
 from .models import Answer, ModelError, witness_to_dict
-from .oracle import DEFAULT_MAX_HOST, SearchCapExceeded, induced_minor_exhaustive
+from .oracle import MAX_ORACLE_HOST, SearchCapExceeded, induced_minor_exhaustive
 from .solvers import (
     SolverPreconditionError,
     solve_clique,
@@ -50,17 +51,10 @@ class UnsupportedInstance(Exception):
     """Honest refusal: no exact procedure applies at this input size."""
 
 
-@dataclass
-class DispatchConfig:
-    algorithm: str = "auto"
-    max_oracle_size: int = DEFAULT_MAX_HOST
-
-
 def _probe_pt_free(g: Graph) -> int | None:
-    for t in range(2, T_PROBE + 1):
-        if is_pt_free(g, t):
-            return t
-    return None
+    """The least t >= 2 with ``g`` P_t-free, or ``None`` above ``T_PROBE``."""
+    longest = longest_induced_path(g, T_PROBE)
+    return None if longest >= T_PROBE else max(2, longest + 1)
 
 
 def _pt_free_route(g: Graph, h: Graph) -> Answer | None:
@@ -68,87 +62,80 @@ def _pt_free_route(g: Graph, h: Graph) -> Answer | None:
     return None if t is None else solve_pt_free(g, h, t)
 
 
-def _oracle_route(g: Graph, h: Graph, max_oracle_size: int) -> Answer:
-    if g.n > max_oracle_size:
-        raise UnsupportedInstance(f"host exceeds --max-oracle-size {max_oracle_size}")
-    witness = induced_minor_exhaustive(g, h, max_oracle_size)
+def _oracle_route(g: Graph, h: Graph) -> Answer:
+    if g.n > MAX_ORACLE_HOST:
+        raise UnsupportedInstance(
+            f"no polynomial route was taken and the host has {g.n} vertices, "
+            f"above the exhaustive-search cap of {MAX_ORACLE_HOST}"
+        )
+    witness = induced_minor_exhaustive(g, h)
     return Answer(witness is not None, "oracle", witness)
 
 
 # One row per route, in dispatch priority order:
 # (classify kinds served, or None for a host-side fallback;
 #  --algorithm name, or None;
-#  auto-mode guard(g, pc, config), or None when the route always applies;
-#  solver(g, h, pc, config), which returns None when a fallback's host
-#  precondition fails).
+#  auto-mode guard(g, pc), or None when the route always applies, as the
+#  fallbacks do;
+#  solver(g, h, pc), which returns None when a fallback's host precondition
+#  fails; the oracle, last, answers or refuses).
 # Solvers are looked up by name at call time, so rebinding a module
 # attribute (as the bench tracer does) reaches every route.
 ROUTES = (
     (("disjoint_paths",), None, None,
-     lambda g, h, pc, cfg: solve_disjoint_paths(g, h)),
-    (("clique",), None,
-     lambda g, pc, cfg: pc.k <= 4 or g.n <= cfg.max_oracle_size,
-     lambda g, h, pc, cfg: solve_clique(g, pc.k, cfg.max_oracle_size)),
+     lambda g, h, pc: solve_disjoint_paths(g, h)),
+    (("clique",), None, lambda g, pc: pc.k <= 4 or g.n <= MAX_ORACLE_HOST,
+     lambda g, h, pc: solve_clique(g, pc.k)),
     (("clique_plus_isolated",), None,
-     lambda g, pc, cfg: pc.k <= 4 or g.n <= cfg.max_oracle_size,
-     lambda g, h, pc, cfg: solve_clique_plus_isolated(g, h, cfg.max_oracle_size)),
+     lambda g, pc: pc.k <= 4 or g.n <= MAX_ORACLE_HOST,
+     lambda g, h, pc: solve_clique_plus_isolated(g, h)),
     (("flower",), "snt", None,
-     lambda g, h, pc, cfg: solve_snt_single(g, h, pc.center)),
+     lambda g, h, pc: solve_snt_single(g, h, pc.center)),
     (("generalized_house", "generalized_bull"), "house-bull", None,
-     lambda g, h, pc, cfg: solve_house_bull(g, h, pc)),
-    (("complete_split",), "split", lambda g, pc, cfg: pc.k <= 3,
-     lambda g, h, pc, cfg: solve_complete_split(g, h, pc)),
-    (("gem",), "gem", None,
-     lambda g, h, pc, cfg: solve_gem(g, cfg.max_oracle_size)),
-    (("full_house",), "fullhouse", None,
-     lambda g, h, pc, cfg: solve_full_house(g, cfg.max_oracle_size)),
-    (None, "ptfree", None,
-     lambda g, h, pc, cfg: _pt_free_route(g, h)),
-    (None, "oracle", lambda g, pc, cfg: g.n <= cfg.max_oracle_size,
-     lambda g, h, pc, cfg: _oracle_route(g, h, cfg.max_oracle_size)),
+     lambda g, h, pc: solve_house_bull(g, h, pc)),
+    (("complete_split",), "split", lambda g, pc: pc.k <= 3,
+     lambda g, h, pc: solve_complete_split(g, h, pc)),
+    (("gem",), "gem", None, lambda g, h, pc: solve_gem(g)),
+    (("full_house",), "fullhouse", None, lambda g, h, pc: solve_full_house(g)),
+    (None, "ptfree", None, lambda g, h, pc: _pt_free_route(g, h)),
+    (None, "oracle", None, lambda g, h, pc: _oracle_route(g, h)),
 )
 _BY_KIND = {kind: row for row in ROUTES if row[0] for kind in row[0]}
 _FALLBACKS = tuple(row for row in ROUTES if row[0] is None)
 _BY_NAME = {row[1]: row for row in ROUTES if row[1]}
 
 
-def dispatch(g: Graph, h: Graph, config: DispatchConfig | None = None) -> Answer:
+def dispatch(g: Graph, h: Graph, algorithm: str = "auto") -> Answer:
     """Decide by the first route of :data:`ROUTES` that applies.
 
     In auto mode each family of ``classify(h)``, in priority order, goes to
     its row when the row's guard holds.  Patterns no such row takes fall
-    back to hosts without long induced paths, then to the exhaustive oracle
-    under the size cap, and otherwise raise :class:`UnsupportedInstance`
-    (``imc`` exit 2).  Any other ``config.algorithm`` runs the row of that
-    name without its guard: a pattern outside the row's families, or a host
-    with an induced P8 under ``ptfree``, raises
+    back to hosts without an induced P8, then to the exhaustive oracle, which
+    refuses hosts above :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices
+    with :class:`UnsupportedInstance` (``imc`` exit 2).  Any other ``algorithm``
+    runs the row of that name without its guard: a pattern outside the
+    row's families, or a host with an induced P8 under ``ptfree``, raises
     :class:`~indminor.solvers.SolverPreconditionError` (``imc`` exit 1), and
-    ``oracle`` refuses hosts above the cap with :class:`UnsupportedInstance`.
+    ``oracle`` refuses hosts above the cap as in auto mode.
     """
-    config = config or DispatchConfig()
-    if config.algorithm != "auto":
-        return _forced(g, h, config)
+    if algorithm != "auto":
+        return _forced(g, h, algorithm)
     if h.n > g.n:
         return Answer(False, "degenerate")
     for pc in classify(h):
         if pc.kind in _BY_KIND:
             _kinds, _name, guard, solve = _BY_KIND[pc.kind]
-            if guard is None or guard(g, pc, config):
-                return solve(g, h, pc, config)
-    for _kinds, _name, guard, solve in _FALLBACKS:
-        if guard is None or guard(g, None, config):
-            answer = solve(g, h, None, config)
-            if answer is not None:
-                return answer
-    raise UnsupportedInstance(
-        "pattern lies outside the tractable families and the host exceeds "
-        f"the exhaustive-search cap ({config.max_oracle_size} vertices)"
-    )
+            if guard is None or guard(g, pc):
+                return solve(g, h, pc)
+    for _kinds, _name, _guard, solve in _FALLBACKS:
+        answer = solve(g, h, None)
+        if answer is not None:
+            break
+    return answer
 
 
-def _forced(g: Graph, h: Graph, config: DispatchConfig) -> Answer:
+def _forced(g: Graph, h: Graph, alg: str) -> Answer:
     """Run the named route without its auto-mode guard."""
-    alg = config.algorithm
     if alg not in _BY_NAME:
         raise SolverPreconditionError(f"unknown algorithm {alg!r}")
     kinds, _name, _guard, solve = _BY_NAME[alg]
@@ -159,7 +146,7 @@ def _forced(g: Graph, h: Graph, config: DispatchConfig) -> Answer:
             raise SolverPreconditionError(
                 f"--algorithm {alg} needs a pattern of kind {' or '.join(kinds)}"
             )
-    answer = solve(g, h, pc, config)
+    answer = solve(g, h, pc)
     if answer is None:
         raise SolverPreconditionError(
             f"--algorithm {alg}: host is not P_t-free for any t <= {T_PROBE}"
@@ -192,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="input format (default: by extension, .g6 means graph6)",
     )
     ap.add_argument("--algorithm", default="auto", choices=["auto", *_BY_NAME])
-    ap.add_argument("--max-oracle-size", type=int, default=DEFAULT_MAX_HOST)
     return ap
 
 
@@ -209,12 +195,11 @@ def run(argv: list[str]) -> int:
         else:
             pattern = _load_graph(args.pattern_file, args.format)
         host = _load_graph(args.graph, args.format)
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    config = DispatchConfig(args.algorithm, args.max_oracle_size)
     try:
-        answer = dispatch(host, pattern, config)
+        answer = dispatch(host, pattern, args.algorithm)
     except UnsupportedInstance as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2

@@ -327,34 +327,43 @@ def biconnected_components(g: Graph) -> list[frozenset[int]]:
     return sorted(blocks, key=sorted)
 
 
-def is_pt_free(g: Graph, t: int) -> bool:
-    """True iff ``g`` has no induced path on ``t`` vertices.
+def longest_induced_path(g: Graph, cap: int) -> int:
+    """Vertex count of a longest induced path in ``g``, capped at ``cap``.
 
     Exhaustive DFS over induced-path extensions: a path ``p_1..p_k`` grows by
-    a neighbor of ``p_k`` that avoids the neighborhoods of ``p_1..p_{k-1}``.
-    Exact; intended for bounded ``t`` and desk-scale graphs.
+    a neighbor of ``p_k`` outside the closed neighborhoods of
+    ``p_1..p_{k-1}``.  Paths wait on an explicit stack, so no recursion limit
+    applies, and the search stops at the first path of ``cap`` vertices.
     """
+    adj = g.adj
+    best = min(g.n, 1)
+    if best >= cap:
+        return cap
+    for v in range(g.n):
+        # one entry per path vertex: (untried extensions of the path ending
+        # there, union of the closed neighborhoods of the path so far)
+        stack = [(adj[v], adj[v] | 1 << v)]
+        while stack:
+            cand, blocked = stack[-1]
+            if not cand:
+                stack.pop()
+                continue
+            w = cand & -cand
+            stack[-1] = (cand ^ w, blocked)
+            if len(stack) >= best:
+                best = len(stack) + 1
+                if best >= cap:
+                    return cap
+            nw = adj[w.bit_length() - 1]
+            stack.append((nw & ~blocked, blocked | nw | w))
+    return best
+
+
+def is_pt_free(g: Graph, t: int) -> bool:
+    """True iff ``g`` has no induced path on ``t`` vertices."""
     if t < 1:
         raise GraphError("t must be positive")
-    if t == 1:
-        return g.n == 0
-    adj = g.adj
-
-    def extend(last: int, used: int, blocked: int, length: int) -> bool:
-        # blocked = union of N[p_1..p_{k-1}]; candidates keep the path induced
-        if length == t:
-            return True
-        cand = adj[last] & ~used & ~blocked
-        nb = blocked | adj[last] | (1 << last)
-        for w in bits(cand):
-            if extend(w, used | (1 << w), nb, length + 1):
-                return True
-        return False
-
-    for v in range(g.n):
-        if extend(v, 1 << v, 0, 1):
-            return False
-    return True
+    return g.n < t or longest_induced_path(g, t) < t
 
 
 def is_p4_free(g: Graph) -> bool:

@@ -45,11 +45,12 @@ from .graphs import (
 )
 from .models import Model, lift_through_trace
 
-DEFAULT_MAX_HOST = 12
+# the most host vertices the exhaustive search takes on
+MAX_ORACLE_HOST = 12
 
 
 class SearchCapExceeded(RuntimeError):
-    """The instance exceeds the configured exhaustive-search size cap."""
+    """The instance exceeds the exhaustive-search size cap."""
 
 
 def _pattern_twin_classes(pattern: Graph, pinned: set[int]) -> list[list[int]]:
@@ -230,16 +231,15 @@ def iter_induced_minor_models(host: Graph, pattern: Graph) -> Iterator[Model]:
         yield Model(pattern, host, tuple(set_of(m) for m in masks))
 
 
-def induced_minor_exhaustive(
-    host: Graph, pattern: Graph, max_host: int = DEFAULT_MAX_HOST
-) -> Model | None:
+def induced_minor_exhaustive(host: Graph, pattern: Graph) -> Model | None:
     """First induced-minor model under the deterministic order, or ``None``.
 
-    Exact; refuses hosts above ``max_host`` instead of truncating the search.
+    Exact; refuses hosts above :data:`MAX_ORACLE_HOST` instead of truncating
+    the search.
     """
-    if host.n > max_host:
+    if host.n > MAX_ORACLE_HOST:
         raise SearchCapExceeded(
-            f"host has {host.n} vertices, exhaustive cap is {max_host}"
+            f"host has {host.n} vertices, exhaustive cap is {MAX_ORACLE_HOST}"
         )
     for model in iter_induced_minor_models(host, pattern):
         return model
@@ -503,15 +503,13 @@ def _series_parallel_reduce(
     return stuck, preimages
 
 
-def clique_minor_test(
-    host: Graph, k: int, max_host: int = DEFAULT_MAX_HOST
-) -> Model | None:
+def clique_minor_test(host: Graph, k: int) -> Model | None:
     """A model of ``K_k`` in ``host`` or ``None``; exact.
 
     k <= 2 is a direct check, k = 3 finds a cycle and splits it into three
     arcs, k = 4 runs the series-parallel reduction (stuck with minimum degree
     >= 3 iff a K_4 minor exists) and recovers a witness on the stuck graph,
-    k >= 5 delegates to the rooted search under the size cap.
+    k >= 5 delegates to the rooted search under :data:`MAX_ORACLE_HOST`.
     """
     if k < 1:
         raise GraphError("k must be positive")
@@ -541,9 +539,9 @@ def clique_minor_test(
             raise InvariantViolation("min degree >= 3 but no K_4 minor found")
         trace = ContractionTrace(host, stuck, preimages, allows_deletions=True)
         return lift_through_trace(inner, trace)
-    if host.n > max_host:
+    if host.n > MAX_ORACLE_HOST:
         raise SearchCapExceeded(
             f"k={k} clique search needs the exhaustive engine; host has "
-            f"{host.n} vertices, cap is {max_host}"
+            f"{host.n} vertices, cap is {MAX_ORACLE_HOST}"
         )
     return rooted_clique_minor(host, [()] * k)

@@ -37,7 +37,7 @@ from .graphs import (
 )
 from .models import Answer, Model, answer_no, answer_yes, lift_through_trace
 from .oracle import (
-    DEFAULT_MAX_HOST,
+    MAX_ORACLE_HOST,
     clique_minor_test,
     induced_minor_exhaustive,
     induced_subgraph_search,
@@ -340,13 +340,11 @@ def solve_pt_free(g: Graph, h: Graph, t: int) -> Answer:
 # decomposition-theorem solvers: gem and full house
 
 
-def _structure_branch_witness(
-    gb: Graph, pattern: Graph, max_oracle: int
-) -> Model | None:
+def _structure_branch_witness(gb: Graph, pattern: Graph) -> Model | None:
     """Witness search for a yes concluded from a decomposition theorem:
     exhaustive under the oracle cap, else bags of at most 3 vertices."""
-    if gb.n <= max_oracle:
-        found = induced_minor_exhaustive(gb, pattern, max_oracle)
+    if gb.n <= MAX_ORACLE_HOST:
+        found = induced_minor_exhaustive(gb, pattern)
         if found is None:
             raise InvariantViolation("the structure theorem promised a model")
         return found
@@ -365,7 +363,7 @@ def _block_subgraphs(g: Graph, minimum: int) -> list[tuple[Graph, tuple[int, ...
     return out
 
 
-def solve_gem(g: Graph, max_oracle: int = DEFAULT_MAX_HOST) -> Answer:
+def solve_gem(g: Graph) -> Answer:
     """Decide containment of the gem (P4 plus a dominating vertex).
 
     Per 2-connected block: look for at most six vertices whose removal
@@ -387,16 +385,16 @@ def solve_gem(g: Graph, max_oracle: int = DEFAULT_MAX_HOST) -> Answer:
             if found_x is not None:
                 break
         if found_x is None:
-            witness = _structure_branch_witness(gb, gem, max_oracle)
+            witness = _structure_branch_witness(gb, gem)
             if witness is not None:
                 return answer_yes(_remap_model(witness, g, vmap), "gem")
             certified = True
             continue
         trace = _contract_long_paths(gb, mask_of(found_x))
-        gprime = trace.target
-        if not is_pt_free(gprime, 28):
-            raise InvariantViolation("induced-path bound violated after contraction")
-        ans = solve_pt_free(gprime, gem, 28)
+        try:
+            ans = solve_pt_free(trace.target, gem, 28)
+        except SolverPreconditionError as exc:
+            raise InvariantViolation("contraction left an induced P28") from exc
         if ans.contains:
             lifted = lift_through_trace(ans.witness, trace)
             return answer_yes(_remap_model(lifted, g, vmap), "gem")
@@ -439,7 +437,7 @@ def _contract_long_paths(gb: Graph, xs: int) -> ContractionTrace:
     return quotient_by_preimages(gb, preimages)
 
 
-def solve_full_house(g: Graph, max_oracle: int = DEFAULT_MAX_HOST) -> Answer:
+def solve_full_house(g: Graph) -> Answer:
     """Decide containment of the full house (K4 plus a vertex on two of it).
 
     Per 2-connected block, the four decomposition properties are tested in
@@ -452,7 +450,7 @@ def solve_full_house(g: Graph, max_oracle: int = DEFAULT_MAX_HOST) -> Answer:
     fh = catalog.named_graph("full_house")
     certified = False
     for gb, vmap in _block_subgraphs(g, 5):
-        ans = _full_house_block(gb, fh, max_oracle)
+        ans = _full_house_block(gb, fh)
         if ans.contains and ans.witness is not None:
             return answer_yes(_remap_model(ans.witness, g, vmap), "fullhouse")
         if ans.contains:
@@ -462,7 +460,7 @@ def solve_full_house(g: Graph, max_oracle: int = DEFAULT_MAX_HOST) -> Answer:
     return answer_no("fullhouse")
 
 
-def _full_house_block(gb: Graph, fh: Graph, max_oracle: int) -> Answer:
+def _full_house_block(gb: Graph, fh: Graph) -> Answer:
     # (1) no K4 minor: nothing containing K4 can appear
     if clique_minor_test(gb, 4) is None:
         return answer_no("fullhouse")
@@ -485,9 +483,10 @@ def _full_house_block(gb: Graph, fh: Graph, max_oracle: int) -> Answer:
         return answer_yes(witness, "fullhouse")
     # (3) wheel + complete multipartite partition: no long induced paths
     if _has_wheel_multipartite_partition(gb):
-        if is_pt_free(gb, 24):
+        try:
             return solve_pt_free(gb, fh, 24)
-        found = induced_minor_exhaustive(gb, fh, max_oracle)
+        except SolverPreconditionError:
+            found = induced_minor_exhaustive(gb, fh)
         if found is None:
             return answer_no("fullhouse")
         return answer_yes(found, "fullhouse")
@@ -504,7 +503,7 @@ def _full_house_block(gb: Graph, fh: Graph, max_oracle: int) -> Answer:
         witness = _cycle_twins_witness(gb, fh, cycle, twins, hood)
         return answer_yes(witness, "fullhouse")
     # no property holds: the decomposition theorem forces containment
-    witness = _structure_branch_witness(gb, fh, max_oracle)
+    witness = _structure_branch_witness(gb, fh)
     if witness is not None:
         return answer_yes(witness, "fullhouse")
     return Answer(True, "fullhouse", None, certified_without_witness=True)
@@ -693,17 +692,15 @@ def _split_cycle(
 # cliques and clique-plus-isolated-vertex patterns
 
 
-def solve_clique(g: Graph, k: int, max_oracle: int = DEFAULT_MAX_HOST) -> Answer:
+def solve_clique(g: Graph, k: int) -> Answer:
     """Containment of a complete pattern reduces to minor containment."""
-    witness = clique_minor_test(g, k, max_oracle)
+    witness = clique_minor_test(g, k)
     if witness is None:
         return answer_no("clique_minor")
     return answer_yes(witness, "clique_minor")
 
 
-def solve_clique_plus_isolated(
-    g: Graph, h: Graph, max_oracle: int = DEFAULT_MAX_HOST
-) -> Answer:
+def solve_clique_plus_isolated(g: Graph, h: Graph) -> Answer:
     """Containment of K_k plus one isolated vertex: pick the isolated bag's
     vertex x, then look for a K_k minor avoiding N[x]."""
     comps = component_masks(h.adj, h.full_mask())
@@ -726,7 +723,7 @@ def solve_clique_plus_isolated(
         if len(rest) < k:
             continue
         sub, vmap = induced_subgraph(g, rest)
-        inner = clique_minor_test(sub, k, max_oracle)
+        inner = clique_minor_test(sub, k)
         if inner is None:
             continue
         bags: list[frozenset[int]] = [frozenset()] * h.n

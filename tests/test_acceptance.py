@@ -21,7 +21,7 @@ from conftest import (
     random_quotient_model,
 )
 from indminor.catalog import named_graph
-from indminor.cli import DispatchConfig, dispatch
+from indminor.cli import dispatch
 from indminor.graphs import Graph, from_graph6, is_pt_free, subdivide_edge, to_graph6
 from indminor.models import verify_model
 from indminor.oracle import (
@@ -43,8 +43,6 @@ SWEEP_PATTERNS = [
     "crown", "k5_minus", "k23", "w4", "prism", "k33",
 ]
 
-_CONFIG = DispatchConfig()
-
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -65,7 +63,7 @@ def _sweep_one_host(host_g6: str) -> list[tuple]:
         h = named_graph(name)
         if h.n > host.n:
             continue
-        ans = dispatch(host, h, _CONFIG)
+        ans = dispatch(host, h)
         oracle = induced_minor_exhaustive(host, h)
         witness_ok = None
         bound_ok = None
@@ -91,7 +89,7 @@ def _dispatch_only_host(host_g6: str) -> list[tuple]:
         h = named_graph(name)
         if h.n > host.n:
             continue
-        ans = dispatch(host, h, _CONFIG)
+        ans = dispatch(host, h)
         ok = verify_model(ans.witness) if ans.witness is not None else None
         out.append((name, host_g6, ans.contains, ans.method, ok))
     return out
@@ -233,7 +231,7 @@ def _ci_instance(args: tuple) -> tuple:
         edges += [(c + t, x) for x in tset]
     g = Graph.from_edges(c + i, edges)
     fh = named_graph("full_house")
-    ans = dispatch(g, fh, _CONFIG)
+    ans = dispatch(g, fh)
     oracle = induced_minor_exhaustive(g, fh)
     wok = verify_model(ans.witness) if ans.witness is not None else None
     return (c, tset, i, ans.contains, oracle is not None, wok)
@@ -249,7 +247,7 @@ def test_criterion_6_full_house_cases():
         (named_graph("k33"), False),
         (subdivide_edge(named_graph("k33"), (0, 3)), True),
     ]:
-        ans = dispatch(host, fh, _CONFIG)
+        ans = dispatch(host, fh)
         oracle = induced_minor_exhaustive(host, fh) is not None
         fixed.append(ans.contains == expected == oracle)
 
@@ -350,7 +348,7 @@ def _random_equivalence_host(args: tuple) -> list[tuple]:
     out = []
     for name in names:
         h = named_graph(name)
-        ans = dispatch(host, h, _CONFIG)
+        ans = dispatch(host, h)
         oracle = induced_minor_exhaustive(host, h)
         out.append((name, host_g6, ans.contains, oracle is not None))
     return out

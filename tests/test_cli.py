@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import indminor
+from conftest import induced_path_exists
 from indminor import cli
 from indminor.catalog import KIND_ORDER, named_graph
-from indminor.cli import ROUTES, DispatchConfig, UnsupportedInstance, dispatch, run
+from indminor.cli import ROUTES, UnsupportedInstance, dispatch, run
 from indminor.graphs import InvariantViolation, to_edgelist, to_graph6
 from indminor.models import ModelError, verify_model, witness_from_dict
-from indminor.oracle import induced_minor_exhaustive
+from indminor.oracle import MAX_ORACLE_HOST, induced_minor_exhaustive
 
 
 @pytest.fixture()
@@ -40,6 +46,10 @@ class TestDispatch:
         host = named_graph("cycle_12")  # long induced paths, within oracle cap
         a = dispatch(host, named_graph("w4"))
         assert a.method == "oracle" and not a.contains
+        # one vertex more is past the cap
+        assert MAX_ORACLE_HOST == 12
+        with pytest.raises(UnsupportedInstance):
+            dispatch(named_graph("cycle_13"), named_graph("w4"))
 
     def test_unsupported_error(self):
         host = named_graph("path_30")
@@ -49,6 +59,16 @@ class TestDispatch:
     def test_degenerate_size(self):
         a = dispatch(named_graph("path_3"), named_graph("cycle_6"))
         assert not a.contains and a.method == "degenerate"
+
+
+class TestPtFreeProbe:
+    def test_smallest_t_on_atlas(self, atlas):
+        # path_8 is past the probe's reach: every t <= 8 has an induced P_t
+        for g in [*atlas, named_graph("path_8")]:
+            smallest = next(
+                (t for t in range(2, 9) if not induced_path_exists(g, t)), None
+            )
+            assert cli._probe_pt_free(g) == smallest
 
 
 class TestRoutes:
@@ -76,7 +96,7 @@ class TestRoutes:
     )
     def test_forced_route_decides_its_family(self, name, pattern):
         g, h = named_graph("cycle_6"), named_graph(pattern)
-        a = dispatch(g, h, DispatchConfig(algorithm=name))
+        a = dispatch(g, h, name)
         assert a.contains == (induced_minor_exhaustive(g, h) is not None)
         assert a.witness is None or verify_model(a.witness)
 
@@ -134,6 +154,29 @@ class TestRun:
         code = run(["--pattern", "w4", "--graph", gpath])
         assert code == 2
         assert "unsupported" in capsys.readouterr().err
+
+    def test_undecodable_host_exit_1(self, tmp_path, capsys):
+        gpath = tmp_path / "g.edges"
+        gpath.write_bytes(b"\xff\xfe3 1\n0 1\n")
+        assert run(["--pattern", "house", "--graph", str(gpath)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_forced_oracle_above_cap_exit_2(self, files, capsys):
+        gpath = files("g.g6", to_graph6(named_graph("cycle_13")))
+        code = run(["--pattern", "house", "--graph", gpath, "--algorithm", "oracle"])
+        assert code == 2
+        assert "unsupported" in capsys.readouterr().err
+
+    def test_module_entry_point_prints_no_warning(self):
+        src = str(Path(indminor.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "indminor.cli", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0 and "--algorithm" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_forced_oracle(self, files, capsys):
         gpath = files("g.g6", to_graph6(named_graph("cycle_6")))

@@ -225,6 +225,11 @@ class TestPathFreeness:
         assert is_pt_free(k5, 3)
         assert not is_pt_free(k5, 2)
 
+    def test_long_path_needs_no_recursion(self):
+        path = named_graph("path_1200")
+        assert not is_pt_free(path, 1200)
+        assert is_pt_free(path, 1201)
+
     def test_t_must_be_positive(self):
         with pytest.raises(GraphError):
             is_pt_free(named_graph("path_2"), 0)

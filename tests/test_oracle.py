@@ -46,9 +46,7 @@ class TestInducedMinorExhaustive:
 
     def test_cap_is_enforced(self):
         with pytest.raises(SearchCapExceeded):
-            induced_minor_exhaustive(
-                named_graph("path_20"), named_graph("path_3"), max_host=12
-            )
+            induced_minor_exhaustive(named_graph("path_20"), named_graph("path_3"))
 
     def test_witness_is_deterministic(self):
         host, pat = named_graph("cycle_6"), named_graph("complete_3")
@@ -179,7 +177,7 @@ class TestCliqueMinor:
 
     def test_k5_cap(self):
         with pytest.raises(SearchCapExceeded):
-            clique_minor_test(named_graph("path_20"), 5, max_host=12)
+            clique_minor_test(named_graph("path_20"), 5)
 
     def test_k4_agrees_with_brute_force_sample(self, atlas):
         rng = random.Random(37)

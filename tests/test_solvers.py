@@ -354,14 +354,13 @@ class TestLabelInvariance:
         rng = random.Random(61)
         hosts = [rand_graph(7, 0.4, rng) for _ in range(6)]
         pats = ["house", "crown", "gem", "full_house", "cycle_5"]
-        from indminor.cli import DispatchConfig, dispatch
+        from indminor.cli import dispatch
 
-        cfg = DispatchConfig()
         for g in hosts:
             for name in pats:
                 h = named_graph(name)
-                base = dispatch(g, h, cfg).contains
+                base = dispatch(g, h).contains
                 for _ in range(3):
                     perm = list(range(g.n))
                     rng.shuffle(perm)
-                    assert dispatch(permuted(g, perm), h, cfg).contains == base
+                    assert dispatch(permuted(g, perm), h).contains == base
