@@ -34,7 +34,10 @@ class PatternClass:
 
     ``roles`` for houses/bulls is ``(a, u, v, b_1, ..., b_r)``; ``split``
     is the bull's missing-edge position ``s`` (``None`` for houses).
-    ``parts`` for complete splits is ``(clique_vertices, independent_vertices)``.
+    ``parts`` for complete splits is ``(clique_vertices, independent_vertices)``
+    and for a clique plus an isolated vertex ``(clique_vertices, (isolated,))``.
+    ``center`` is a flower's centre.  These are the only roles the family
+    solvers read.
     """
 
     kind: str
@@ -85,20 +88,20 @@ def _clique_order(h: Graph) -> int | None:
     return None
 
 
-def _clique_plus_isolated(h: Graph) -> int | None:
+def _clique_plus_isolated(h: Graph) -> PatternClass | None:
     comps = component_masks(h.adj, h.full_mask())
     if len(comps) != 2:
         return None
-    sizes = sorted(c.bit_count() for c in comps)
-    if sizes[0] != 1:
+    # the larger component is the clique, or the lower of two single vertices
+    iso, big = sorted(comps, key=lambda c: (c.bit_count(), -(c & -c)))
+    k = big.bit_count()
+    if iso.bit_count() != 1 or any(
+        (h.adj[v] & big).bit_count() != k - 1 for v in bits(big)
+    ):
         return None
-    big = max(comps, key=lambda c: (c.bit_count(), -(c & -c)))
-    k = big.bit_count() if big.bit_count() > 1 else 1
-    inside = [v for v in bits(big)]
-    for v in inside:
-        if (h.adj[v] & big).bit_count() != k - 1:
-            return None
-    return k
+    return PatternClass(
+        "clique_plus_isolated", k=k, parts=(tuple(bits(big)), tuple(bits(iso)))
+    )
 
 
 def is_flower(h: Graph) -> int | None:
@@ -248,9 +251,9 @@ def classify(h: Graph) -> list[PatternClass]:
     k = _clique_order(h)
     if k is not None:
         out.append(PatternClass("clique", k=k))
-    k = _clique_plus_isolated(h)
-    if k is not None:
-        out.append(PatternClass("clique_plus_isolated", k=k))
+    cpi = _clique_plus_isolated(h)
+    if cpi is not None:
+        out.append(cpi)
     center = is_flower(h)
     if center is not None:
         out.append(PatternClass("flower", center=center))

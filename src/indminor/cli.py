@@ -79,18 +79,20 @@ def _oracle_route(g: Graph, h: Graph) -> Answer:
 #  fallbacks do;
 #  solver(g, h, pc), which returns None when a fallback's host precondition
 #  fails; the oracle, last, answers or refuses).
+# ``pc`` is the PatternClass of ``classify(h)`` that picked the row (None for
+# the fallbacks); a family solver reads every role from it and recognises
+# nothing itself.
 # Solvers are looked up by name at call time, so rebinding a module
 # attribute (as the bench tracer does) reaches every route.
 ROUTES = (
     (("disjoint_paths",), None, None,
-     lambda g, h, pc: solve_disjoint_paths(g, h)),
+     lambda g, h, pc: solve_disjoint_paths(g, h, pc)),
     (("clique",), None, lambda g, pc: pc.k <= 4 or g.n <= MAX_ORACLE_HOST,
      lambda g, h, pc: solve_clique(g, pc.k)),
     (("clique_plus_isolated",), None,
      lambda g, pc: pc.k <= 4 or g.n <= MAX_ORACLE_HOST,
-     lambda g, h, pc: solve_clique_plus_isolated(g, h)),
-    (("flower",), "snt", None,
-     lambda g, h, pc: solve_snt_single(g, h, pc.center)),
+     lambda g, h, pc: solve_clique_plus_isolated(g, h, pc)),
+    (("flower",), "snt", None, lambda g, h, pc: solve_snt_single(g, h, pc)),
     (("generalized_house", "generalized_bull"), "house-bull", None,
      lambda g, h, pc: solve_house_bull(g, h, pc)),
     (("complete_split",), "split", lambda g, pc: pc.k <= 3,
@@ -209,6 +211,7 @@ def run(argv: list[str]) -> int:
         GraphError,
         ModelError,
         InvariantViolation,
+        RecursionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

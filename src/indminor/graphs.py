@@ -85,9 +85,6 @@ class Graph:
             adj[v] |= 1 << u
         return Graph(n, tuple(adj))
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
@@ -244,7 +241,7 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]
 
 
 def quotient_by_preimages(
-    g: Graph, preimages: Sequence[Iterable[int]], allows_deletions: bool = False
+    g: Graph, preimages: Sequence[Iterable[int]]
 ) -> ContractionTrace:
     """Contract each preimage set of ``g`` to one vertex; validates the trace."""
     pre = tuple(frozenset(p) for p in preimages)
@@ -259,7 +256,7 @@ def quotient_by_preimages(
         if tu is not None and tv is not None and tu != tv:
             edges.add((min(tu, tv), max(tu, tv)))
     target = Graph.from_edges(k, sorted(edges))
-    return ContractionTrace(g, target, pre, allows_deletions)
+    return ContractionTrace(g, target, pre)
 
 
 def subdivide_edge(g: Graph, e: tuple[int, int]) -> Graph:

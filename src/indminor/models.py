@@ -50,9 +50,6 @@ class Model:
     ) -> Model:
         return Model(pattern, host, tuple(frozenset(b) for b in bags))
 
-    def bag_masks(self) -> list[int]:
-        return [mask_of(b) for b in self.bags]
-
     def bag_union(self) -> frozenset[int]:
         out: set[int] = set()
         for b in self.bags:

@@ -1,5 +1,12 @@
 """One decision procedure per tractable pattern family.
 
+The solvers for path unions, cliques plus an isolated vertex, flowers,
+houses and bulls, and complete splits take ``(g, h, pc)``, where ``pc`` is
+the :class:`~indminor.catalog.PatternClass` that the catalog recognised for
+``h``.  They read every role (centre, chain, sides) from ``pc``, recognise
+nothing themselves, and raise :class:`SolverPreconditionError` on a ``pc``
+of another family.
+
 Every solver returns an :class:`~indminor.models.Answer`; positive answers
 carry a witness model unless they come from a decomposition-theorem branch,
 in which case ``certified_without_witness`` is set (or a bounded witness
@@ -14,7 +21,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import catalog
-from .catalog import PatternClass, classify
+from .catalog import PatternClass
 from .graphs import (
     ContractionTrace,
     Graph,
@@ -50,11 +57,11 @@ class SolverPreconditionError(ValueError):
     """The pattern/host does not meet the solver's documented precondition."""
 
 
-def _first_class(h: Graph, kinds: tuple[str, ...]) -> PatternClass:
-    for pc in classify(h):
-        if pc.kind in kinds:
-            return pc
-    raise SolverPreconditionError(f"pattern is not in families {kinds}")
+def _require_kind(pc: PatternClass, *kinds: str) -> None:
+    if pc.kind not in kinds:
+        raise SolverPreconditionError(
+            f"pattern class {pc.kind} is not of kind {' or '.join(kinds)}"
+        )
 
 
 def _remap_model(m: Model, host: Graph, vmap: Sequence[int]) -> Model:
@@ -68,10 +75,9 @@ def _remap_model(m: Model, host: Graph, vmap: Sequence[int]) -> Model:
 # disjoint unions of paths
 
 
-def solve_disjoint_paths(g: Graph, h: Graph) -> Answer:
+def solve_disjoint_paths(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     """Containment for path unions: induced minor iff induced subgraph."""
-    if not catalog.is_disjoint_paths(h):
-        raise SolverPreconditionError("pattern is not a disjoint union of paths")
+    _require_kind(pc, "disjoint_paths")
     if h.n > g.n:
         return answer_no("disjoint_paths")
     image = induced_subgraph_search(g, h)
@@ -99,8 +105,9 @@ def _premodel_order(h: Graph, skip: int) -> list[int]:
     return order
 
 
-def solve_snt_single(g: Graph, h: Graph, u: int) -> Answer:
-    """Decide containment for a pattern needing at most one fat bag (at ``u``).
+def solve_snt_single(g: Graph, h: Graph, pc: PatternClass) -> Answer:
+    """Decide containment for a flower, which needs at most one fat bag, at
+    its centre ``u = pc.center``.
 
     Enumerates injective singleton premodels of ``V(h) - u`` with exact
     adjacency, then looks for a component of the host minus the premodel's
@@ -108,9 +115,10 @@ def solve_snt_single(g: Graph, h: Graph, u: int) -> Answer:
     closed neighborhoods of the non-neighbors' bags and touch every
     neighbor's bag.
     """
-    h.check_vertex(u)
+    _require_kind(pc, "flower")
     if h.n > g.n:
         return answer_no("snt_single")
+    u = pc.center
     nbr_u = h.adj[u]
     for bags in iter_premodels(g, h, _premodel_order(h, u), [1] * h.n):
         y_mask = z_mask = 0
@@ -134,7 +142,7 @@ def solve_snt_single(g: Graph, h: Graph, u: int) -> Answer:
 # generalized houses and bulls
 
 
-def solve_house_bull(g: Graph, h: Graph, pc: PatternClass | None = None) -> Answer:
+def solve_house_bull(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     """Decide containment for a triangle-plus-attached-path pattern.
 
     For each singleton premodel realizing the two anchor paths (all pattern
@@ -144,10 +152,7 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass | None = None) -> Answ
     u-to-b path is fixed, and for each neighbor ``y_c`` of c's vertex a
     shortest v-path plus a connector path complete the two fat bags.
     """
-    if pc is None:
-        pc = _first_class(h, ("generalized_house", "generalized_bull"))
-    if pc.kind not in ("generalized_house", "generalized_bull"):
-        raise SolverPreconditionError("pattern is not a generalized house/bull")
+    _require_kind(pc, "generalized_house", "generalized_bull")
     if h.n > g.n:
         return answer_no("house_bull")
     a, u, v = pc.roles[0], pc.roles[1], pc.roles[2]
@@ -239,7 +244,7 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass | None = None) -> Answ
 # complete split patterns
 
 
-def solve_complete_split(g: Graph, h: Graph, pc: PatternClass | None = None) -> Answer:
+def solve_complete_split(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     """Decide containment for a clique (size <= 3) joined onto an
     independent set.
 
@@ -248,8 +253,7 @@ def solve_complete_split(g: Graph, h: Graph, pc: PatternClass | None = None) -> 
     each touching every independent bag's neighborhood) root an exact
     clique-minor search in the remaining host.
     """
-    if pc is None:
-        pc = _first_class(h, ("complete_split",))
+    _require_kind(pc, "complete_split")
     k, p = pc.k, pc.p
     if k > 3:
         raise SolverPreconditionError(
@@ -481,15 +485,15 @@ def _full_house_block(gb: Graph, fh: Graph) -> Answer:
             return answer_no("fullhouse")
         witness = _subdivision_witness(gb, fh, branches, chosen)
         return answer_yes(witness, "fullhouse")
-    # (3) wheel + complete multipartite partition: no long induced paths
+    # (3) wheel + complete multipartite partition: the wheel part has at most
+    # 5 vertices and an induced path meets a complete multipartite graph in
+    # runs of at most 3 vertices, so an induced path has at most
+    # 5 + 6 * 3 = 23 vertices and the block is P24-free
     if _has_wheel_multipartite_partition(gb):
         try:
             return solve_pt_free(gb, fh, 24)
-        except SolverPreconditionError:
-            found = induced_minor_exhaustive(gb, fh)
-        if found is None:
-            return answer_no("fullhouse")
-        return answer_yes(found, "fullhouse")
+        except SolverPreconditionError as exc:
+            raise InvariantViolation("the partition left an induced P24") from exc
     # (4) cycle + false-twin independent set partition
     part = _cycle_twins_partition(gb)
     if part is not None:
@@ -700,24 +704,12 @@ def solve_clique(g: Graph, k: int) -> Answer:
     return answer_yes(witness, "clique_minor")
 
 
-def solve_clique_plus_isolated(g: Graph, h: Graph) -> Answer:
+def solve_clique_plus_isolated(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     """Containment of K_k plus one isolated vertex: pick the isolated bag's
     vertex x, then look for a K_k minor avoiding N[x]."""
-    comps = component_masks(h.adj, h.full_mask())
-    singles = [c for c in comps if c.bit_count() == 1]
-    others = [c for c in comps if c.bit_count() > 1]
-    if others:
-        if len(others) != 1 or len(singles) != 1:
-            raise SolverPreconditionError("pattern is not a clique plus K_1")
-        clique_vs = sorted(set_of(others[0]))
-        iso = next(bits(singles[0]))
-    elif len(singles) == 2:
-        clique_vs, iso = [0], 1
-    else:
-        raise SolverPreconditionError("pattern is not a clique plus K_1")
+    _require_kind(pc, "clique_plus_isolated")
+    clique_vs, (iso,) = pc.parts
     k = len(clique_vs)
-    if h.edge_count != k * (k - 1) // 2:
-        raise SolverPreconditionError("pattern is not a clique plus K_1")
     for x in range(g.n):
         rest = sorted(set_of(g.full_mask() & ~closed_neighbor_mask(g.adj, 1 << x)))
         if len(rest) < k:

@@ -11,7 +11,15 @@ from itertools import combinations
 
 import pytest
 
+from indminor.catalog import PatternClass, classify
 from indminor.graphs import Graph
+
+
+def pc_of(h: Graph, kind: str) -> PatternClass:
+    """The ``PatternClass`` of ``kind`` that ``classify`` finds for ``h``;
+    when it finds none, its first class, which a solver of ``kind`` rejects."""
+    pcs = classify(h)
+    return next((pc for pc in pcs if pc.kind == kind), pcs[0])
 
 
 def from_nx(G) -> Graph:

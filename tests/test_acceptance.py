@@ -17,6 +17,7 @@ import pytest
 from conftest import (
     brute_clique_minor_exists,
     from_nx,
+    pc_of,
     rand_graph,
     random_quotient_model,
 )
@@ -208,7 +209,7 @@ def test_criterion_5_two_fat_bags_host():
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
          (0, 5), (1, 5), (5, 6), (2, 7), (3, 7), (7, 8)],
     )
-    ans = solve_house_bull(host, pattern)
+    ans = solve_house_bull(host, pattern, pc_of(pattern, "generalized_bull"))
     counts = []
     for m in iter_induced_minor_models(host, pattern):
         assert verify_model(m)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -100,6 +101,20 @@ class TestRoutes:
         assert a.contains == (induced_minor_exhaustive(g, h) is not None)
         assert a.witness is None or verify_model(a.witness)
 
+    def test_bench_tracer_layers_exist(self):
+        # bench/run.py --trace 1 wraps these names; a rename must fail here
+        path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("bench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        missing = [
+            f"{module}.{name}"
+            for module, names in spans.LAYERS.items()
+            for name in names
+            if not hasattr(importlib.import_module(f"indminor.{module}"), name)
+        ]
+        assert not missing
+
 
 class TestRun:
     def test_basic_graph6(self, files, capsys):
@@ -195,7 +210,12 @@ class TestRun:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "error", [ModelError("bad bag"), InvariantViolation("broken promise")]
+        "error",
+        [
+            ModelError("bad bag"),
+            InvariantViolation("broken promise"),
+            RecursionError("maximum recursion depth exceeded"),
+        ],
     )
     def test_internal_error_exit_1_without_traceback(
         self, files, capsys, monkeypatch, error

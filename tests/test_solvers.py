@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import permuted, rand_graph
+from conftest import pc_of, permuted, rand_graph
 from indminor.catalog import classify, named_graph
 from indminor.graphs import Graph, subdivide_edge
 from indminor.models import verify_model
@@ -46,21 +46,32 @@ def horned_bull() -> Graph:
 
 class TestDisjointPaths:
     def test_path_in_cycle(self):
-        a = solve_disjoint_paths(named_graph("cycle_6"), named_graph("path_5"))
+        a = solve_disjoint_paths(
+            named_graph("cycle_6"), named_graph("path_5"),
+            pc_of(named_graph("path_5"), "disjoint_paths"),
+        )
         assert a.contains and verify_model(a.witness)
         assert all(len(b) == 1 for b in a.witness.bags)
 
     def test_no_induced_p3_in_clique(self):
-        assert not solve_disjoint_paths(named_graph("complete_4"), named_graph("path_3")).contains
+        assert not solve_disjoint_paths(
+            named_graph("complete_4"), named_graph("path_3"),
+            pc_of(named_graph("path_3"), "disjoint_paths"),
+        ).contains
 
     def test_house_has_no_induced_two_edges(self):
         two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-        assert not solve_disjoint_paths(named_graph("house"), two_k2).contains
+        assert not solve_disjoint_paths(
+            named_graph("house"), two_k2, pc_of(two_k2, "disjoint_paths")
+        ).contains
         assert induced_minor_exhaustive(named_graph("house"), two_k2) is None
 
     def test_wrong_pattern_rejected(self):
         with pytest.raises(SolverPreconditionError):
-            solve_disjoint_paths(named_graph("cycle_6"), named_graph("cycle_4"))
+            solve_disjoint_paths(
+                named_graph("cycle_6"), named_graph("cycle_4"),
+                pc_of(named_graph("cycle_4"), "disjoint_paths"),
+            )
 
 
 class TestSntSingle:
@@ -69,18 +80,21 @@ class TestSntSingle:
         host = star
         for e in [(0, 1), (0, 2), (0, 3)]:
             host = subdivide_edge(host, e)
-        a = solve_snt_single(host, star, 0)
+        a = solve_snt_single(host, star, pc_of(star, "flower"))
         assert a.contains and verify_model(a.witness)
 
     def test_cycle_in_longer_cycle(self):
-        a = solve_snt_single(named_graph("cycle_9"), named_graph("cycle_5"), 0)
+        a = solve_snt_single(
+            named_graph("cycle_9"), named_graph("cycle_5"),
+            pc_of(named_graph("cycle_5"), "flower"),
+        )
         assert a.contains and verify_model(a.witness)
 
     def test_identity_flower(self):
         butterfly = Graph.from_edges(
             5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
         )
-        a = solve_snt_single(butterfly, butterfly, 2)
+        a = solve_snt_single(butterfly, butterfly, pc_of(butterfly, "flower"))
         assert a.contains
 
     def test_at_most_one_fat_bag_at_the_center(self):
@@ -89,7 +103,7 @@ class TestSntSingle:
         hits = 0
         for _ in range(60):
             g = rand_graph(8, 0.35, rng)
-            a = solve_snt_single(g, c5, 0)
+            a = solve_snt_single(g, c5, pc_of(c5, "flower"))
             assert a.contains == (induced_minor_exhaustive(g, c5) is not None)
             if a.witness is not None:
                 hits += 1
@@ -98,41 +112,61 @@ class TestSntSingle:
         assert hits > 3
 
     def test_no_case(self):
-        assert not solve_snt_single(named_graph("path_4"), named_graph("cycle_4"), 0).contains
+        assert not solve_snt_single(
+            named_graph("path_4"), named_graph("cycle_4"),
+            pc_of(named_graph("cycle_4"), "flower"),
+        ).contains
 
 
 class TestHouseBull:
     def test_identity(self):
-        a = solve_house_bull(named_graph("house"), named_graph("house"))
+        a = solve_house_bull(
+            named_graph("house"), named_graph("house"),
+            pc_of(named_graph("house"), "generalized_house"),
+        )
         assert a.contains and verify_model(a.witness)
 
     def test_c5_does_not_contain_house(self):
-        assert not solve_house_bull(named_graph("cycle_5"), named_graph("house")).contains
+        assert not solve_house_bull(
+            named_graph("cycle_5"), named_graph("house"),
+            pc_of(named_graph("house"), "generalized_house"),
+        ).contains
         assert induced_minor_exhaustive(named_graph("cycle_5"), named_graph("house")) is None
 
     def test_two_fat_bag_host(self):
-        a = solve_house_bull(gh2_host(), horned_bull())
+        a = solve_house_bull(
+            gh2_host(), horned_bull(), pc_of(horned_bull(), "generalized_bull")
+        )
         assert a.contains and verify_model(a.witness)
         assert sum(1 for b in a.witness.bags if len(b) > 1) >= 2
 
     def test_bull_in_its_subdivisions(self):
         bull = named_graph("bull")
         host = subdivide_edge(subdivide_edge(bull, (0, 1)), (0, 2))
-        a = solve_house_bull(host, bull)
+        a = solve_house_bull(host, bull, pc_of(bull, "generalized_bull"))
         assert a.contains == (induced_minor_exhaustive(host, bull) is not None)
 
     def test_wrong_pattern_rejected(self):
         with pytest.raises(SolverPreconditionError):
-            solve_house_bull(named_graph("cycle_5"), named_graph("gem"))
+            solve_house_bull(
+                named_graph("cycle_5"), named_graph("gem"),
+                pc_of(named_graph("gem"), "generalized_house"),
+            )
 
 
 class TestCompleteSplit:
     def test_identity(self):
-        a = solve_complete_split(named_graph("k5_minus"), named_graph("k5_minus"))
+        a = solve_complete_split(
+            named_graph("k5_minus"), named_graph("k5_minus"),
+            pc_of(named_graph("k5_minus"), "complete_split"),
+        )
         assert a.contains and verify_model(a.witness)
 
     def test_crown_not_in_c6(self):
-        a = solve_complete_split(named_graph("cycle_6"), named_graph("crown"))
+        a = solve_complete_split(
+            named_graph("cycle_6"), named_graph("crown"),
+            pc_of(named_graph("crown"), "complete_split"),
+        )
         assert not a.contains
         assert induced_minor_exhaustive(named_graph("cycle_6"), named_graph("crown")) is None
 
@@ -141,7 +175,7 @@ class TestCompleteSplit:
         # overlap so that no seed set hits each exactly once
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         host = Graph.from_edges(5, [(3, 4), (3, 0), (4, 1), (3, 2), (4, 2)])
-        a = solve_complete_split(host, star)
+        a = solve_complete_split(host, star, pc_of(star, "complete_split"))
         assert a.contains and verify_model(a.witness)
         assert induced_minor_exhaustive(host, star) is not None
 
@@ -149,7 +183,9 @@ class TestCompleteSplit:
         host = named_graph("crown")
         for e in [(0, 2), (1, 3)]:
             host = subdivide_edge(host, e)
-        a = solve_complete_split(host, named_graph("crown"))
+        a = solve_complete_split(
+            host, named_graph("crown"), pc_of(named_graph("crown"), "complete_split")
+        )
         assert a.contains == (
             induced_minor_exhaustive(host, named_graph("crown")) is not None
         )
@@ -162,7 +198,9 @@ class TestCompleteSplit:
             + [(i, 5) for i in range(4)],
         )
         with pytest.raises(SolverPreconditionError):
-            solve_complete_split(named_graph("complete_6"), s42)
+            solve_complete_split(
+                named_graph("complete_6"), s42, pc_of(s42, "complete_split")
+            )
 
 
 class TestPtFree:
@@ -328,23 +366,25 @@ class TestCliqueSolvers:
 
     def test_clique_plus_isolated_identity(self):
         h = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
-        a = solve_clique_plus_isolated(h, h)
+        a = solve_clique_plus_isolated(h, h, pc_of(h, "clique_plus_isolated"))
         assert a.contains and verify_model(a.witness)
 
     def test_two_triangles(self):
         h = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        a = solve_clique_plus_isolated(g, h)
+        a = solve_clique_plus_isolated(g, h, pc_of(h, "clique_plus_isolated"))
         assert a.contains and verify_model(a.witness)
 
     def test_clique_host_lacks_second_bag(self):
         two_k1 = Graph.from_edges(2, [])
-        assert not solve_clique_plus_isolated(named_graph("complete_5"), two_k1).contains
+        assert not solve_clique_plus_isolated(
+            named_graph("complete_5"), two_k1, pc_of(two_k1, "clique_plus_isolated")
+        ).contains
 
     def test_isolated_vertex_position_respected(self):
         h = Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)])  # vertex 0 isolated
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        a = solve_clique_plus_isolated(g, h)
+        a = solve_clique_plus_isolated(g, h, pc_of(h, "clique_plus_isolated"))
         assert a.contains and verify_model(a.witness)
         assert len(a.witness.bags[0]) == 1
 
@@ -364,3 +404,33 @@ class TestLabelInvariance:
                     perm = list(range(g.n))
                     rng.shuffle(perm)
                     assert dispatch(permuted(g, perm), h).contains == base
+
+
+def _subdivided_k4() -> Graph:
+    host = named_graph("complete_4")
+    for e in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+        host = subdivide_edge(host, e)
+    return host
+
+
+@pytest.mark.parametrize(
+    "solver, kind, host, pattern",
+    [
+        (solve_disjoint_paths, "disjoint_paths", named_graph("cycle_6"), "house"),
+        (solve_clique_plus_isolated, "clique_plus_isolated",
+         named_graph("cycle_6"), "complete_3"),
+        # K4 is no flower: a one-fat-bag search says "no" on this host,
+        # which holds K4 as an induced minor
+        (solve_snt_single, "flower", _subdivided_k4(), "complete_4"),
+        (solve_house_bull, "generalized_house", named_graph("cycle_6"), "cycle_5"),
+        (solve_complete_split, "complete_split", named_graph("cycle_6"), "cycle_5"),
+    ],
+    ids=["disjoint_paths", "clique_plus_isolated", "snt_single", "house_bull",
+         "complete_split"],
+)
+def test_pattern_class_of_another_kind_rejected(solver, kind, host, pattern):
+    h = named_graph(pattern)
+    pcs = classify(h)
+    assert all(pc.kind != kind for pc in pcs)
+    with pytest.raises(SolverPreconditionError):
+        solver(host, h, pcs[0])
