@@ -9,24 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graphs import Graph, GraphError, bits, complete_graph, component_masks
 from .oracle import induced_subgraph_search
-
-KIND_ORDER = (
-    "disjoint_paths",
-    "clique",
-    "clique_plus_isolated",
-    "flower",
-    "generalized_house",
-    "generalized_bull",
-    "complete_split",
-    "gem",
-    "full_house",
-    "unsupported",
-)
-
 
 @dataclass(frozen=True)
 class PatternClass:
@@ -36,8 +22,9 @@ class PatternClass:
     is the bull's missing-edge position ``s`` (``None`` for houses).
     ``parts`` for complete splits is ``(clique_vertices, independent_vertices)``
     and for a clique plus an isolated vertex ``(clique_vertices, (isolated,))``.
-    ``center`` is a flower's centre.  These are the only roles the family
-    solvers read.
+    ``center`` is a flower's centre.  Every recognizer of the table that
+    :func:`classify` walks returns its family's class with these roles, the
+    only ones the family solvers read.
     """
 
     kind: str
@@ -75,16 +62,18 @@ def induces_path(g: Graph, comp: int) -> list[int] | None:
     return order
 
 
-def is_disjoint_paths(h: Graph) -> bool:
-    return all(
+def is_disjoint_paths(h: Graph) -> PatternClass | None:
+    if all(
         induces_path(h, comp) is not None
         for comp in component_masks(h.adj, h.full_mask())
-    )
+    ):
+        return PatternClass("disjoint_paths")
+    return None
 
 
-def _clique_order(h: Graph) -> int | None:
+def _clique(h: Graph) -> PatternClass | None:
     if h.n >= 1 and h.edge_count == h.n * (h.n - 1) // 2:
-        return h.n
+        return PatternClass("clique", k=h.n)
     return None
 
 
@@ -104,8 +93,9 @@ def _clique_plus_isolated(h: Graph) -> PatternClass | None:
     )
 
 
-def is_flower(h: Graph) -> int | None:
-    """Smallest vertex whose removal leaves qualifying paths, else ``None``.
+def is_flower(h: Graph) -> PatternClass | None:
+    """The flower class whose ``center`` is the smallest vertex whose removal
+    leaves qualifying paths, else ``None``.
 
     Each remaining path must be a sepal (3 vertices, complete to the
     center), or touch the center only at its extremities (petal: both,
@@ -127,7 +117,7 @@ def is_flower(h: Graph) -> int | None:
                 ok = False
                 break
         if ok:
-            return u
+            return PatternClass("flower", center=u)
     return None
 
 
@@ -201,21 +191,25 @@ def is_generalized_house_or_bull(h: Graph) -> PatternClass | None:
     return None
 
 
-def is_complete_split(h: Graph) -> tuple[int, int, tuple[tuple[int, ...], ...]] | None:
-    """``(k, p, (clique, independent))`` when ``h`` is a complete join of a
-    clique onto an independent set, with both sides non-empty."""
+def is_complete_split(h: Graph) -> PatternClass | None:
+    """The complete-split class, with ``k``, ``p`` and ``parts = (clique,
+    independent)``, when ``h`` is a complete join of a clique onto an
+    independent set, with both sides non-empty."""
     n = h.n
     universal = [v for v in range(n) if h.degree(v) == n - 1]
     rest = [v for v in range(n) if h.degree(v) != n - 1]
-    if universal and rest:
-        for x in rest:
-            if any(h.has_edge(x, y) for y in rest if y > x):
-                return None
-        return len(universal), len(rest), (tuple(universal), tuple(rest))
     if not rest and n >= 2:
         # a clique splits as clique of n-1 plus one independent vertex
-        return n - 1, 1, (tuple(range(n - 1)), (n - 1,))
-    return None
+        universal, rest = universal[:-1], universal[-1:]
+    if not universal or not rest:
+        return None
+    for x in rest:
+        if any(h.has_edge(x, y) for y in rest if y > x):
+            return None
+    return PatternClass(
+        "complete_split", k=len(universal), p=len(rest),
+        parts=(tuple(universal), tuple(rest)),
+    )
 
 
 _GEM = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
@@ -236,40 +230,35 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     )
 
 
+def _isomorphic_to(kind: str, graph: Graph) -> Callable[[Graph], PatternClass | None]:
+    """The recognizer of the single pattern ``graph``, as class ``kind``."""
+    return lambda h: PatternClass(kind) if isomorphic(h, graph) else None
+
+
+# one recognizer per family, in the order of the family rows of cli.ROUTES
+_RECOGNIZERS = (
+    is_disjoint_paths,
+    _clique,
+    _clique_plus_isolated,
+    is_flower,
+    is_generalized_house_or_bull,
+    is_complete_split,
+    _isomorphic_to("gem", _GEM),
+    _isomorphic_to("full_house", _FULL_HOUSE),
+)
+
+
 def classify(h: Graph) -> list[PatternClass]:
-    """All families ``h`` belongs to, in dispatch priority order.
+    """All families ``h`` belongs to, in the row order of ``cli.ROUTES``.
 
     ``complete_split`` entries are reported for any clique size; the solver
-    gate (clique side at most 3) is applied downstream.  ``unsupported`` is
+    gate (clique side at most 3) is a guard of its route.  ``unsupported`` is
     returned alone when nothing matches.
     """
     if h.n < 1:
         raise GraphError("patterns need at least one vertex")
-    out: list[PatternClass] = []
-    if is_disjoint_paths(h):
-        out.append(PatternClass("disjoint_paths"))
-    k = _clique_order(h)
-    if k is not None:
-        out.append(PatternClass("clique", k=k))
-    cpi = _clique_plus_isolated(h)
-    if cpi is not None:
-        out.append(cpi)
-    center = is_flower(h)
-    if center is not None:
-        out.append(PatternClass("flower", center=center))
-    hb = is_generalized_house_or_bull(h)
-    if hb is not None:
-        out.append(hb)
-    cs = is_complete_split(h)
-    if cs is not None:
-        out.append(PatternClass("complete_split", k=cs[0], p=cs[1], parts=cs[2]))
-    if isomorphic(h, _GEM):
-        out.append(PatternClass("gem"))
-    if isomorphic(h, _FULL_HOUSE):
-        out.append(PatternClass("full_house"))
-    if not out:
-        out.append(PatternClass("unsupported"))
-    return out
+    out = [pc for recognize in _RECOGNIZERS if (pc := recognize(h)) is not None]
+    return out or [PatternClass("unsupported")]
 
 
 def reconstruct(pc: PatternClass, n: int) -> Graph | None:

@@ -1,7 +1,7 @@
 """Command-line front end: parse graphs, classify the pattern, dispatch.
 
-One table, :data:`ROUTES`, says which pattern family goes to which solver.
-:func:`dispatch` walks it in auto mode, ``--algorithm NAME`` forces the row
+One table, :data:`ROUTES`, orders every route.  :func:`dispatch` walks it
+once, top to bottom, in auto mode, ``--algorithm NAME`` forces the row
 named ``NAME`` and the ``--algorithm`` choices are the table's names.  The
 exhaustive search is the last route; it takes hosts of at most
 :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices.
@@ -26,7 +26,6 @@ from .graphs import (
     InvariantViolation,
     from_edgelist,
     from_graph6,
-    longest_induced_path,
 )
 from .models import Answer, ModelError, witness_to_dict
 from .oracle import MAX_ORACLE_HOST, SearchCapExceeded, induced_minor_exhaustive
@@ -43,7 +42,7 @@ from .solvers import (
     solve_snt_single,
 )
 
-# longest induced path the P_t-free fallback probes for
+# longest induced path the P_t-free fallback allows
 T_PROBE = 8
 
 
@@ -51,15 +50,11 @@ class UnsupportedInstance(Exception):
     """Honest refusal: no exact procedure applies at this input size."""
 
 
-def _probe_pt_free(g: Graph) -> int | None:
-    """The least t >= 2 with ``g`` P_t-free, or ``None`` above ``T_PROBE``."""
-    longest = longest_induced_path(g, T_PROBE)
-    return None if longest >= T_PROBE else max(2, longest + 1)
-
-
 def _pt_free_route(g: Graph, h: Graph) -> Answer | None:
-    t = _probe_pt_free(g)
-    return None if t is None else solve_pt_free(g, h, t)
+    try:
+        return solve_pt_free(g, h, T_PROBE)
+    except SolverPreconditionError:
+        return None
 
 
 def _oracle_route(g: Graph, h: Graph) -> Answer:
@@ -72,16 +67,16 @@ def _oracle_route(g: Graph, h: Graph) -> Answer:
     return Answer(witness is not None, "oracle", witness)
 
 
-# One row per route, in dispatch priority order:
-# (classify kinds served, or None for a host-side fallback;
+# The only ordering of routes: dispatch walks the rows top to bottom.  Each is
+# (classify kinds served, or () for a row that applies to every pattern;
 #  --algorithm name, or None;
-#  auto-mode guard(g, pc), or None when the route always applies, as the
-#  fallbacks do;
-#  solver(g, h, pc), which returns None when a fallback's host precondition
-#  fails; the oracle, last, answers or refuses).
-# ``pc`` is the PatternClass of ``classify(h)`` that picked the row (None for
-# the fallbacks); a family solver reads every role from it and recognises
-# nothing itself.
+#  auto-mode guard(g, pc), or None when the row always applies;
+#  solver(g, h, pc), which answers or returns None to pass to the next row;
+#  the oracle, last, answers or refuses).
+# ``pc`` is the PatternClass of ``classify(h)`` whose kind picked the row
+# (None for a row with no kinds); a family solver reads every role from it
+# and recognises nothing itself.  The family rows are in the order of
+# catalog's recognizers, so classify lists kinds in row order.
 # Solvers are looked up by name at call time, so rebinding a module
 # attribute (as the bench tracer does) reaches every route.
 ROUTES = (
@@ -99,22 +94,22 @@ ROUTES = (
      lambda g, h, pc: solve_complete_split(g, h, pc)),
     (("gem",), "gem", None, lambda g, h, pc: solve_gem(g)),
     (("full_house",), "fullhouse", None, lambda g, h, pc: solve_full_house(g)),
-    (None, "ptfree", None, lambda g, h, pc: _pt_free_route(g, h)),
-    (None, "oracle", None, lambda g, h, pc: _oracle_route(g, h)),
+    ((), "ptfree", None, lambda g, h, pc: _pt_free_route(g, h)),
+    ((), "oracle", None, lambda g, h, pc: _oracle_route(g, h)),
 )
-_BY_KIND = {kind: row for row in ROUTES if row[0] for kind in row[0]}
-_FALLBACKS = tuple(row for row in ROUTES if row[0] is None)
 _BY_NAME = {row[1]: row for row in ROUTES if row[1]}
 
 
 def dispatch(g: Graph, h: Graph, algorithm: str = "auto") -> Answer:
-    """Decide by the first route of :data:`ROUTES` that applies.
+    """Decide by the first row of :data:`ROUTES` that answers.
 
-    In auto mode each family of ``classify(h)``, in priority order, goes to
-    its row when the row's guard holds.  Patterns no such row takes fall
-    back to hosts without an induced P8, then to the exhaustive oracle, which
-    refuses hosts above :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices
-    with :class:`UnsupportedInstance` (``imc`` exit 2).  Any other ``algorithm``
+    In auto mode the rows are walked once, top to bottom.  A row applies
+    when one of its kinds is among ``classify(h)``, or it has no kinds, and
+    its guard holds; its solver answers or returns ``None`` to pass.  The
+    family rows come first; then hosts without an induced P8; then the
+    exhaustive oracle, which refuses hosts above
+    :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices with
+    :class:`UnsupportedInstance` (``imc`` exit 2).  Any other ``algorithm``
     runs the row of that name without its guard: a pattern outside the
     row's families, or a host with an induced P8 under ``ptfree``, raises
     :class:`~indminor.solvers.SolverPreconditionError` (``imc`` exit 1), and
@@ -124,16 +119,14 @@ def dispatch(g: Graph, h: Graph, algorithm: str = "auto") -> Answer:
         return _forced(g, h, algorithm)
     if h.n > g.n:
         return Answer(False, "degenerate")
-    for pc in classify(h):
-        if pc.kind in _BY_KIND:
-            _kinds, _name, guard, solve = _BY_KIND[pc.kind]
-            if guard is None or guard(g, pc):
-                return solve(g, h, pc)
-    for _kinds, _name, _guard, solve in _FALLBACKS:
-        answer = solve(g, h, None)
+    found = {pc.kind: pc for pc in classify(h)}
+    for kinds, _name, guard, solve in ROUTES:
+        pc = next((found[kind] for kind in kinds if kind in found), None)
+        if (kinds and pc is None) or (guard is not None and not guard(g, pc)):
+            continue
+        answer = solve(g, h, pc)
         if answer is not None:
-            break
-    return answer
+            return answer
 
 
 def _forced(g: Graph, h: Graph, alg: str) -> Answer:
@@ -142,7 +135,7 @@ def _forced(g: Graph, h: Graph, alg: str) -> Answer:
         raise SolverPreconditionError(f"unknown algorithm {alg!r}")
     kinds, _name, _guard, solve = _BY_NAME[alg]
     pc = None
-    if kinds is not None:
+    if kinds:
         pc = next((pc for pc in classify(h) if pc.kind in kinds), None)
         if pc is None:
             raise SolverPreconditionError(

@@ -584,24 +584,26 @@ def from_edgelist(text: str) -> Graph:
     if not lines or not lines[0].strip():
         raise GraphParseError("line 1: missing 'n m' header")
     head = lines[0].split()
-    if len(head) != 2 or not all(p.lstrip("-").isdigit() for p in head):
+    if len(head) != 2 or not all(p.removeprefix("-").isdecimal() for p in head):
         raise GraphParseError("line 1: header must be two integers 'n m'")
     n, m = int(head[0]), int(head[1])
-    edges = []
+    edges = set()
     lineno = 1
     for raw in lines[1:]:
         lineno += 1
         if not raw.strip():
             continue
         parts = raw.split()
-        if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
             raise GraphParseError(f"line {lineno}: expected 'u v'")
         u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < n and 0 <= v < n):
             raise GraphParseError(f"line {lineno}: vertex out of range 0..{n-1}")
         if u == v:
             raise GraphParseError(f"line {lineno}: self-loop {u}")
-        edges.append((u, v))
+        if (min(u, v), max(u, v)) in edges:
+            raise GraphParseError(f"line {lineno}: repeated edge {u} {v}")
+        edges.add((min(u, v), max(u, v)))
     if len(edges) != m:
         raise GraphParseError(f"header announced {m} edges, found {len(edges)}")
     try:

@@ -266,7 +266,7 @@ def witness_from_dict(data: Mapping, pattern: Graph) -> Model:
         n = int(data["pattern_n"])
         host = from_graph6(data["host_graph6"])
         raw = data["bags"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ModelError(f"malformed witness object: {exc}") from exc
     if n != pattern.n:
         raise ModelError(f"witness pattern_n={n} != pattern order {pattern.n}")
@@ -280,4 +280,8 @@ def witness_from_dict(data: Mapping, pattern: Graph) -> Model:
 
 
 def witness_from_json(text: str, pattern: Graph) -> Model:
-    return witness_from_dict(json.loads(text), pattern)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ModelError(f"witness is not JSON: {exc}") from exc
+    return witness_from_dict(data, pattern)

@@ -34,8 +34,8 @@ from .graphs import (
     induced_subgraph,
     is_complete_multipartite,
     is_p4_free,
-    is_pt_free,
     is_wheel,
+    longest_induced_path,
     mask_of,
     neighbor_mask,
     quotient_by_preimages,
@@ -327,13 +327,18 @@ def bounded_bag_search(
 def solve_pt_free(g: Graph, h: Graph, t: int) -> Answer:
     """Exact containment on hosts with no induced path on ``t`` vertices.
 
-    In such hosts a minimal model uses bags of size at most
-    ``1 + deg(u) * (t - 2)`` per pattern vertex ``u``, so bounded-bag
-    backtracking is complete.
+    ``t`` is an upper bound: one longest-induced-path search, capped at
+    ``t``, raises :class:`SolverPreconditionError` when it reaches ``t`` and
+    otherwise measures the least ``s = max(2, longest + 1)`` with the host
+    P_s-free.  In such hosts a minimal model uses bags of size at most
+    ``1 + deg(u) * (s - 2)`` per pattern vertex ``u``, so bounded-bag
+    backtracking under those caps is complete.
     """
-    if not is_pt_free(g, t):
+    longest = longest_induced_path(g, t)
+    if longest >= t:
         raise SolverPreconditionError(f"host has an induced path on {t} vertices")
-    caps = [1 + h.adj[u].bit_count() * (t - 2) for u in range(h.n)]
+    s = max(2, longest + 1)
+    caps = [1 + h.adj[u].bit_count() * (s - 2) for u in range(h.n)]
     witness = bounded_bag_search(g, h, caps)
     if witness is None:
         return answer_no("ptfree")

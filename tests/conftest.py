@@ -15,6 +15,17 @@ from indminor.catalog import PatternClass, classify
 from indminor.graphs import Graph
 
 
+# catalog patterns that dispatch sends to a specialized (non-oracle) solver
+# on small hosts; parametric families are instantiated at desk sizes
+SWEEP_PATTERNS = [
+    "path_4", "path_5", "path_6",
+    "cycle_4", "cycle_5", "cycle_6",
+    "complete_3", "complete_4", "complete_5",
+    "house", "bull", "gem", "full_house",
+    "crown", "k5_minus", "k23", "w4", "prism", "k33",
+]
+
+
 def pc_of(h: Graph, kind: str) -> PatternClass:
     """The ``PatternClass`` of ``kind`` that ``classify`` finds for ``h``;
     when it finds none, its first class, which a solver of ``kind`` rejects."""

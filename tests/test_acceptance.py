@@ -15,6 +15,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    SWEEP_PATTERNS,
     brute_clique_minor_exists,
     from_nx,
     pc_of,
@@ -33,17 +34,6 @@ from indminor.oracle import (
 )
 from indminor.solvers import solve_house_bull
 from indminor.models import shrink_small_degree_bag, straighten_path_bags
-
-# catalog patterns that dispatch sends to a specialized (non-oracle) solver
-# on small hosts; parametric families are instantiated at desk sizes
-SWEEP_PATTERNS = [
-    "path_4", "path_5", "path_6",
-    "cycle_4", "cycle_5", "cycle_6",
-    "complete_3", "complete_4", "complete_5",
-    "house", "bull", "gem", "full_house",
-    "crown", "k5_minus", "k23", "w4", "prism", "k33",
-]
-
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")

@@ -80,10 +80,10 @@ class TestFlower:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         for e in [(0, 1), (0, 2), (0, 3)]:
             g = subdivide_edge(g, e)
-        assert is_flower(g) == 0
+        assert is_flower(g).center == 0
 
     def test_cycle_is_a_flower(self):
-        assert is_flower(named_graph("cycle_5")) == 0
+        assert is_flower(named_graph("cycle_5")).center == 0
 
     def test_house_is_not(self):
         assert is_flower(named_graph("house")) is None
@@ -96,7 +96,7 @@ class TestFlower:
         butterfly = Graph.from_edges(
             5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
         )
-        assert is_flower(butterfly) == 2
+        assert is_flower(butterfly).center == 2
 
     def test_p3_attached_at_middle_fails(self):
         # center adjacent only to the midpoint of a P3: neither sepal nor petal
@@ -111,9 +111,10 @@ class TestFlower:
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         cases.append(star)
         for g in cases:
-            center = is_flower(g)
-            if center is None:
+            pc = is_flower(g)
+            if pc is None:
                 continue
+            center = pc.center
             for e in g.edges():
                 # skip sepal edges: both endpoints adjacent to the center
                 u, v = e
@@ -158,23 +159,23 @@ class TestHouseBull:
 
 class TestCompleteSplit:
     def test_crown(self):
-        k, p, parts = is_complete_split(named_graph("crown"))
-        assert (k, p) == (2, 3) and parts == ((0, 1), (2, 3, 4))
+        pc = is_complete_split(named_graph("crown"))
+        assert (pc.k, pc.p) == (2, 3) and pc.parts == ((0, 1), (2, 3, 4))
 
     def test_k5_minus(self):
-        k, p, _ = is_complete_split(named_graph("k5_minus"))
-        assert (k, p) == (3, 2)
+        pc = is_complete_split(named_graph("k5_minus"))
+        assert (pc.k, pc.p) == (3, 2)
 
     def test_c4_is_not(self):
         assert is_complete_split(named_graph("cycle_4")) is None
 
     def test_star(self):
-        k, p, _ = is_complete_split(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
-        assert (k, p) == (1, 3)
+        pc = is_complete_split(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+        assert (pc.k, pc.p) == (1, 3)
 
     def test_clique_splits_off_one_vertex(self):
-        k, p, _ = is_complete_split(named_graph("complete_4"))
-        assert (k, p) == (3, 1)
+        pc = is_complete_split(named_graph("complete_4"))
+        assert (pc.k, pc.p) == (3, 1)
 
 
 class TestNamedGraphs:

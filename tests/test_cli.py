@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import indminor
-from conftest import induced_path_exists
-from indminor import cli
-from indminor.catalog import KIND_ORDER, named_graph
+from conftest import SWEEP_PATTERNS
+from indminor import cli, graphs, solvers
+from indminor.catalog import classify, named_graph
 from indminor.cli import ROUTES, UnsupportedInstance, dispatch, run
 from indminor.graphs import InvariantViolation, to_edgelist, to_graph6
 from indminor.models import ModelError, verify_model, witness_from_dict
@@ -61,21 +61,30 @@ class TestDispatch:
         a = dispatch(named_graph("path_3"), named_graph("cycle_6"))
         assert not a.contains and a.method == "degenerate"
 
-
-class TestPtFreeProbe:
-    def test_smallest_t_on_atlas(self, atlas):
-        # path_8 is past the probe's reach: every t <= 8 has an induced P_t
-        for g in [*atlas, named_graph("path_8")]:
-            smallest = next(
-                (t for t in range(2, 9) if not induced_path_exists(g, t)), None
-            )
-            assert cli._probe_pt_free(g) == smallest
+    def test_fallback_searches_induced_paths_once(self, monkeypatch):
+        calls = []
+        for module in (graphs, cli, solvers):
+            if hasattr(module, "longest_induced_path"):
+                original = getattr(module, "longest_induced_path")
+                monkeypatch.setattr(
+                    module, "longest_induced_path",
+                    lambda g, cap, f=original: calls.append(cap) or f(g, cap),
+                )
+        a = dispatch(named_graph("cycle_7"), named_graph("w4"))
+        assert a.method == "ptfree" and len(calls) == 1
 
 
 class TestRoutes:
-    def test_every_supported_kind_has_one_row(self):
-        served = [kind for kinds, *_ in ROUTES if kinds for kind in kinds]
-        assert sorted(served) == sorted(k for k in KIND_ORDER if k != "unsupported")
+    def test_classified_kinds_have_one_row_in_row_order(self, atlas):
+        rows = [kinds for kinds, *_ in ROUTES]
+        for h in [*atlas, *map(named_graph, SWEEP_PATTERNS)]:
+            found = [pc.kind for pc in classify(h) if pc.kind != "unsupported"]
+            serving = [
+                [i for i, kinds in enumerate(rows) if kind in kinds]
+                for kind in found
+            ]
+            assert all(len(s) == 1 for s in serving)
+            assert [s[0] for s in serving] == sorted(s[0] for s in serving)
 
     def test_algorithm_choices_are_the_table_names(self):
         action = next(
@@ -156,6 +165,12 @@ class TestRun:
         code = run(["--pattern", "house", "--graph", gpath])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_decimal_digit_exit_1_without_traceback(self, files, capsys):
+        gpath = files("bad.edges", "2 1\n0 \u00b2\n")
+        assert run(["--pattern", "house", "--graph", gpath]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2") and "Traceback" not in err
 
     def test_missing_file_exit_1(self, capsys):
         assert run(["--pattern", "house", "--graph", "/nonexistent.g6"]) == 1

@@ -21,6 +21,7 @@ from indminor.graphs import (
     is_p4_free,
     is_pt_free,
     is_wheel,
+    longest_induced_path,
     neighbor_mask,
     quotient_by_preimages,
     set_of,
@@ -245,6 +246,14 @@ class TestPathFreeness:
     def test_against_subset_enumeration(self, g, t):
         assert is_pt_free(g, t) == (not induced_path_exists(g, t))
 
+    def test_longest_induced_path_on_atlas(self, atlas):
+        # path_8 reaches the cap: an induced P_t for every t <= 8
+        for g in [*atlas, named_graph("path_8")]:
+            largest = 1
+            while largest < 8 and induced_path_exists(g, largest + 1):
+                largest += 1
+            assert longest_induced_path(g, 8) == largest
+
 
 class TestCographs:
     def test_examples(self):
@@ -377,6 +386,18 @@ class TestEdgeList:
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphParseError, match="announced"):
             from_edgelist("3 5\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "token", ["\u00b2", "--1"], ids=["superscript", "minus-minus"]
+    )
+    def test_non_decimal_digit_rejected(self, token):
+        # tokens that look like integers but that int() rejects
+        with pytest.raises(GraphParseError, match="line 2"):
+            from_edgelist(f"2 1\n0 {token}\n")
+
+    def test_repeated_edge_rejected(self):
+        with pytest.raises(GraphParseError, match="line 3: repeated edge"):
+            from_edgelist("3 2\n0 1\n1 0\n")
 
 
 class TestTraceValidation:

@@ -14,6 +14,7 @@ from indminor.models import (
     shrink_small_degree_bag,
     straighten_path_bags,
     verify_model,
+    witness_from_dict,
     witness_from_json,
     witness_to_dict,
     witness_to_json,
@@ -289,3 +290,20 @@ class TestWitnessJson:
             named_graph("complete_3"), named_graph("cycle_4"), [{0}, {1}, {2, 3}]
         )
         assert witness_to_json(m) == witness_to_json(m)
+
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            lambda c4: witness_from_dict(
+                {"pattern_n": "x", "host_graph6": "C]", "bags": {}}, c4
+            ),
+            lambda c4: witness_from_dict(
+                {"pattern_n": 4, "host_graph6": 5, "bags": {}}, c4
+            ),
+            lambda c4: witness_from_json("not json", c4),
+        ],
+        ids=["non-integer-pattern_n", "non-string-host_graph6", "not-json"],
+    )
+    def test_malformed_input_raises_model_error(self, parse):
+        with pytest.raises(ModelError):
+            parse(named_graph("cycle_4"))
