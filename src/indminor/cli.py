@@ -14,10 +14,9 @@ exhaustive-search cap).
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .catalog import classify, named_graph
 from .graphs import (
@@ -41,6 +40,9 @@ from .solvers import (
     solve_pt_free,
     solve_snt_single,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 # longest induced path the P_t-free fallback allows
 T_PROBE = 8
@@ -113,8 +115,11 @@ def dispatch(g: Graph, h: Graph, algorithm: str = "auto") -> Answer:
     runs the row of that name without its guard: a pattern outside the
     row's families, or a host with an induced P8 under ``ptfree``, raises
     :class:`~indminor.solvers.SolverPreconditionError` (``imc`` exit 1), and
-    ``oracle`` refuses hosts above the cap as in auto mode.
+    ``oracle`` refuses hosts above the cap as in auto mode.  In both modes a
+    pattern with no vertices raises :class:`~indminor.graphs.GraphError`.
     """
+    if h.n < 1:
+        raise GraphError("patterns need at least one vertex")
     if algorithm != "auto":
         return _forced(g, h, algorithm)
     if h.n > g.n:
@@ -159,6 +164,10 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # imported here, not at module level, so that importing the package and
+    # calling dispatch stay off argparse's import cost
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="imc",
         description="Decide whether a pattern graph is an induced minor of a "
@@ -214,6 +223,8 @@ def run(argv: list[str]) -> int:
         "witness": witness_to_dict(answer.witness) if answer.witness else None,
         "certified_without_witness": answer.certified_without_witness,
     }
+    import json
+
     print(json.dumps(payload, sort_keys=False, separators=(", ", ": ")))
     return 0
 

@@ -177,13 +177,10 @@ def closed_neighbor_mask(adj: Sequence[int], m: int) -> int:
     return out
 
 
-def is_connected_mask(adj: Sequence[int], m: int) -> bool:
-    """Whether ``m`` is non-empty and induces a connected subgraph."""
-    if not m:
-        return False
-    start = m & -m
-    reached = start
-    frontier = start
+def _grow(adj: Sequence[int], seed: int, m: int) -> int:
+    """The union of the components of ``G[m]`` that meet ``seed`` (``seed``
+    a submask of ``m``), grown breadth first."""
+    comp = frontier = seed
     while frontier:
         grown = 0
         f = frontier
@@ -191,10 +188,15 @@ def is_connected_mask(adj: Sequence[int], m: int) -> bool:
             low = f & -f
             grown |= adj[low.bit_length() - 1]
             f ^= low
-        grown &= m & ~reached
-        reached |= grown
+        grown &= m & ~comp
+        comp |= grown
         frontier = grown
-    return reached == m
+    return comp
+
+
+def is_connected_mask(adj: Sequence[int], m: int) -> bool:
+    """Whether ``m`` is non-empty and induces a connected subgraph."""
+    return m != 0 and _grow(adj, m & -m, m) == m
 
 
 def component_masks(adj: Sequence[int], m: int) -> list[int]:
@@ -203,22 +205,34 @@ def component_masks(adj: Sequence[int], m: int) -> list[int]:
     comps = []
     rest = m
     while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            grown = 0
-            f = frontier
-            while f:
-                low = f & -f
-                grown |= adj[low.bit_length() - 1]
-                f ^= low
-            grown &= rest & ~comp
-            comp |= grown
-            frontier = grown
+        comp = _grow(adj, rest & -rest, rest)
         comps.append(comp)
         rest &= ~comp
     return comps
+
+
+def touching_component(adj: Sequence[int], m: int, needs: Sequence[int]) -> int:
+    """The component of ``G[m]`` with the smallest member among those that
+    meet every mask in ``needs``, or 0 when there is none.
+
+    Only the components that meet ``needs[0]`` are grown, one from each
+    still unreached vertex of ``m & needs[0]``, and each is tested with
+    ``comp & need``; the rest of ``G[m]`` is never visited.  With no
+    ``needs`` this is the component of the smallest member of ``m``.
+    """
+    if not needs:
+        return _grow(adj, m & -m, m) if m else 0
+    rest = needs[1:]
+    best = 0
+    seeds = m & needs[0]
+    while seeds:
+        comp = _grow(adj, seeds & -seeds, m)
+        seeds &= ~comp
+        if all(comp & need for need in rest) and (
+            not best or comp & -comp < best & -best
+        ):
+            best = comp
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -451,49 +465,38 @@ def cycle_order(g: Graph, m: int) -> list[int] | None:
 
 
 def shortest_path_avoiding(
-    g: Graph,
-    sources: Iterable[int],
-    targets: Iterable[int],
-    forbidden: Iterable[int] = (),
+    g: Graph, sources: int, targets: int, forbidden: int = 0
 ) -> list[int] | None:
-    """Lexicographically smallest shortest path between the sets, or ``None``.
+    """Lexicographically smallest shortest path between the vertex masks
+    ``sources`` and ``targets``, as a vertex list from a source, or ``None``.
 
-    The path runs in ``g`` minus ``forbidden``; sources and targets must not
-    meet ``forbidden``.  A vertex in both sets gives a length-0 path.
+    The path runs in ``g`` minus the mask ``forbidden``; sources and targets
+    must not meet ``forbidden``.  A vertex in both masks gives a length-0
+    path.  Breadth-first layers grow from ``targets`` inside a ``reached``
+    mask and stop at the first layer that meets ``sources``; the walk back
+    takes the smallest source of that layer and then, layer by layer, the
+    smallest neighbour one step closer.
     """
-    src = mask_of(sources)
-    tgt = mask_of(targets)
-    bad = mask_of(forbidden)
-    if not src or not tgt:
+    if not sources or not targets:
         raise GraphError("sources and targets must be non-empty")
-    if src & bad or tgt & bad:
+    if (sources | targets) & forbidden:
         raise GraphError("sources/targets overlap the forbidden set")
-    allowed = g.full_mask() & ~bad
-    # distances to the target set, then a greedy smallest-vertex walk
-    dist = {v: 0 for v in bits(tgt & allowed)}
-    frontier = tgt & allowed
-    d = 0
-    while frontier:
-        d += 1
-        nxt = neighbor_mask(g.adj, frontier) & allowed
-        nxt &= ~mask_of(dist)
-        for v in bits(nxt):
-            dist[v] = d
-        frontier = nxt
-    best = None
-    for v in bits(src):
-        if v in dist and (best is None or dist[v] < dist[best] or
-                          (dist[v] == dist[best] and v < best)):
-            best = v
-    if best is None:
-        return None
-    path = [best]
-    while dist[path[-1]] > 0:
-        here = path[-1]
-        for w in bits(g.adj[here] & allowed):
-            if dist.get(w, -1) == dist[here] - 1:
-                path.append(w)
-                break
+    adj = g.adj
+    allowed = g.full_mask() & ~forbidden
+    layers = [targets & allowed]
+    reached = layers[0]
+    while not layers[-1] & sources:
+        nxt = neighbor_mask(adj, layers[-1]) & allowed & ~reached
+        if not nxt:
+            return None
+        reached |= nxt
+        layers.append(nxt)
+    here = layers[-1] & sources
+    here &= -here
+    path = [here.bit_length() - 1]
+    for layer in reversed(layers[:-1]):
+        step = adj[path[-1]] & layer
+        path.append((step & -step).bit_length() - 1)
     return path
 
 

@@ -8,7 +8,6 @@ values.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -157,9 +156,8 @@ def shrink_small_degree_bag(m: Model, u: int) -> Model:
     if deg == 1:
         keep = attach[0] & -attach[0]
         return _replace_bag(m, u, set_of(keep))
-    forbidden = set_of(host.full_mask() & ~bag)
     path = shortest_path_avoiding(
-        host, set_of(attach[0]), set_of(attach[1]), forbidden
+        host, attach[0], attach[1], host.full_mask() & ~bag
     )
     if path is None:
         raise InvariantViolation("a connected bag touching both sides has no path")
@@ -214,8 +212,7 @@ def straighten_path_bags(m: Model, p: Sequence[int]) -> Model:
         union |= mask_of(current.bags[v])
     start = neighbor_mask(host.adj, mask_of(current.bags[a])) & union
     end = neighbor_mask(host.adj, mask_of(current.bags[b])) & union
-    forbidden = set_of(host.full_mask() & ~union)
-    walk = shortest_path_avoiding(host, set_of(start), set_of(end), forbidden)
+    walk = shortest_path_avoiding(host, start, end, host.full_mask() & ~union)
     if walk is None or len(walk) < k:
         raise InvariantViolation("straightened internal bags do not form a path")
 
@@ -258,6 +255,8 @@ def witness_to_dict(m: Model) -> dict:
 
 def witness_to_json(m: Model) -> str:
     """Fixed field order, ascending arrays; byte-deterministic."""
+    import json  # here, so that importing the package stays off its cost
+
     return json.dumps(witness_to_dict(m), sort_keys=False, separators=(", ", ": "))
 
 
@@ -280,6 +279,8 @@ def witness_from_dict(data: Mapping, pattern: Graph) -> Model:
 
 
 def witness_from_json(text: str, pattern: Graph) -> Model:
+    import json
+
     try:
         data = json.loads(text)
     except ValueError as exc:

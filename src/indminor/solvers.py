@@ -41,6 +41,7 @@ from .graphs import (
     quotient_by_preimages,
     set_of,
     shortest_path_avoiding,
+    touching_component,
 )
 from .models import Answer, Model, answer_no, answer_yes, lift_through_trace
 from .oracle import (
@@ -110,31 +111,37 @@ def solve_snt_single(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     its centre ``u = pc.center``.
 
     Enumerates injective singleton premodels of ``V(h) - u`` with exact
-    adjacency, then looks for a component of the host minus the premodel's
-    forbidden region that can serve as the bag of ``u``: it must avoid the
-    closed neighborhoods of the non-neighbors' bags and touch every
-    neighbor's bag.
+    adjacency.  The bag of ``u`` must be a component of the host minus the
+    neighbours' vertices and the closed neighbourhoods of the non-neighbours'
+    vertices, and it must touch every neighbour's vertex.  For each premodel
+    one :func:`~indminor.graphs.touching_component` call finds the first
+    such component in smallest-member order: only the components that meet
+    the neighbourhood of the first neighbour's vertex are grown, and each is
+    tested against the other neighbourhoods by mask intersection.
     """
     _require_kind(pc, "flower")
     if h.n > g.n:
         return answer_no("snt_single")
     u = pc.center
-    nbr_u = h.adj[u]
+    adj = g.adj
+    full = g.full_mask()
+    ys = list(bits(h.adj[u]))
+    zs = [w for w in range(h.n) if w != u and not h.adj[u] >> w & 1]
     for bags in iter_premodels(g, h, _premodel_order(h, u), [1] * h.n):
-        y_mask = z_mask = 0
-        for w, bag in enumerate(bags):
-            if nbr_u >> w & 1:
-                y_mask |= bag
-            else:
-                z_mask |= bag
-        blocked = y_mask | closed_neighbor_mask(g.adj, z_mask)
-        for comp in component_masks(g.adj, g.full_mask() & ~blocked):
-            if not y_mask & ~neighbor_mask(g.adj, comp):
-                witness = Model(h, g, tuple(
-                    set_of(comp) if w == u else set_of(bag)
-                    for w, bag in enumerate(bags)
-                ))
-                return answer_yes(witness, "snt_single")
+        blocked = 0
+        needs = []
+        for y in ys:
+            blocked |= bags[y]
+            needs.append(adj[bags[y].bit_length() - 1])
+        for z in zs:
+            blocked |= bags[z] | adj[bags[z].bit_length() - 1]
+        comp = touching_component(adj, full & ~blocked, needs)
+        if comp:
+            witness = Model(h, g, tuple(
+                set_of(comp) if w == u else set_of(bag)
+                for w, bag in enumerate(bags)
+            ))
+            return answer_yes(witness, "snt_single")
     return answer_no("snt_single")
 
 
@@ -151,6 +158,11 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     Then either some component can serve as the whole bag of ``u``, or a
     u-to-b path is fixed, and for each neighbor ``y_c`` of c's vertex a
     shortest v-path plus a connector path complete the two fat bags.
+
+    The whole-bag component is one :func:`~indminor.graphs.touching_component`
+    call, which grows only the components that meet the neighbourhood of
+    b's vertex; the paths come from mask-based
+    :func:`~indminor.graphs.shortest_path_avoiding` searches.
     """
     _require_kind(pc, "generalized_house", "generalized_bull")
     if h.n > g.n:
@@ -168,56 +180,53 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass) -> Answer:
         order = [a, u, v] + chain[: pc.split] + chain[pc.split :][::-1]
     else:
         order = [a, u, v] + chain
+    adj = g.adj
     full = g.full_mask()
 
     def try_premodel(x: list[int]) -> Model | None:
         xa, xu, xv, xb, xc = x[a], x[u], x[v], x[b], x[c]
         blocked = 0
         for w in interior:
-            blocked |= g.adj[x[w]] | (1 << x[w])
+            blocked |= adj[x[w]] | (1 << x[w])
         blocked &= ~((1 << xb) | (1 << xc))
         gp = full & ~blocked  # the restricted host G'
         # (iii) a whole component as the bag of u
-        n_xc = (g.adj[xc] | (1 << xc)) & gp
+        n_xc = (adj[xc] | (1 << xc)) & gp
         avoid = n_xc | (1 << xa) | (1 << xb) | (1 << xv)
-        for comp in component_masks(g.adj, gp & ~avoid):
-            reach = neighbor_mask(g.adj, comp)
-            if reach >> xa & 1 and reach >> xb & 1 and reach >> xv & 1:
-                bags = [
-                    set_of(comp) if w == u else frozenset({x[w]})
-                    for w in range(h.n)
-                ]
-                return Model(h, g, tuple(bags))
+        # seeded from b's vertex: its chain neighbour's closed neighbourhood
+        # is cut away, so it has the fewest neighbours left to grow from
+        comp = touching_component(adj, gp & ~avoid, (adj[xb], adj[xa], adj[xv]))
+        if comp:
+            bags = [
+                set_of(comp) if w == u else frozenset({x[w]})
+                for w in range(h.n)
+            ]
+            return Model(h, g, tuple(bags))
         # (iv) commit to some u-b path; its interior joins the bag of u
         allowed_ub = gp & ~((1 << xa) | (1 << xv)) & ~n_xc
         p_ub = shortest_path_avoiding(
-            g, {xu}, {xb}, set_of(full & ~(allowed_ub | (1 << xb) | (1 << xu)))
+            g, 1 << xu, 1 << xb, full & ~(allowed_ub | (1 << xb) | (1 << xu))
         )
         if p_ub is None:
             return None
         xu0 = mask_of(p_ub[:-1])  # x_u plus the interior of the path
         # (v) for each neighbor of c's vertex, a v-path plus a connector
-        allowed_v = gp & ~(g.adj[xb] | (1 << xb) | (1 << xa) | (1 << xc)) & ~xu0
-        for y_c in bits(g.adj[xc] & allowed_v):
-            p_v = shortest_path_avoiding(
-                g, {xv}, {y_c}, set_of(full & ~allowed_v)
-            )
+        allowed_v = gp & ~(adj[xb] | (1 << xb) | (1 << xa) | (1 << xc)) & ~xu0
+        for y_c in bits(adj[xc] & allowed_v):
+            p_v = shortest_path_avoiding(g, 1 << xv, 1 << y_c, full & ~allowed_v)
             if p_v is None:
                 continue
             pv_mask = mask_of(p_v)
             bag_u = xu0
-            if not neighbor_mask(g.adj, pv_mask) & xu0:
+            if not neighbor_mask(adj, pv_mask) & xu0:
                 allowed_w = gp & ~(
-                    pv_mask | g.adj[xc] | (1 << xa) | (1 << xb) | (1 << xc)
+                    pv_mask | adj[xc] | (1 << xa) | (1 << xb) | (1 << xc)
                 )
-                sources = g.adj[y_c] & allowed_w & ~xu0
+                sources = adj[y_c] & allowed_w & ~xu0
                 if not sources:
                     continue
                 conn = shortest_path_avoiding(
-                    g,
-                    set_of(sources),
-                    set_of(xu0),
-                    set_of(full & ~(allowed_w | sources)),
+                    g, sources, xu0, full & ~(allowed_w | sources)
                 )
                 if conn is None:
                     continue

@@ -201,3 +201,85 @@ def random_quotient_model(rng: random.Random, host_n: int = 9):
     ]
     pattern = Graph.from_edges(k, pedges)
     return Model.from_bags(pattern, host, bags)
+
+
+# ---------------------------------------------------------------------------
+# hosts whose answer is known at any size
+
+
+def is_chordal(g: Graph) -> bool:
+    """Maximum cardinality search, then a perfect-elimination check of the
+    reversed visit order (Tarjan & Yannakakis 1984); sets, no bitmasks."""
+    nbrs = [{w for w in range(g.n) if g.has_edge(v, w)} for v in range(g.n)]
+    weight = [0] * g.n
+    visited: list[int] = []
+    unvisited = set(range(g.n))
+    while unvisited:
+        v = max(sorted(unvisited), key=lambda w: weight[w])
+        visited.append(v)
+        unvisited.discard(v)
+        for w in nbrs[v] & unvisited:
+            weight[w] += 1
+    # the reversed visit order must be a perfect elimination order: the
+    # neighbours visited before v form a clique, and it suffices that the
+    # last visited of them is adjacent to all the others
+    position = {v: i for i, v in enumerate(visited)}
+    for v in visited:
+        earlier = [w for w in nbrs[v] if position[w] < position[v]]
+        if not earlier:
+            continue
+        parent = max(earlier, key=lambda w: position[w])
+        if not set(earlier) - {parent} <= nbrs[parent]:
+            return False
+    return True
+
+
+def ktree(rng: random.Random, n: int, k: int) -> Graph:
+    """A seeded k-tree on ``n`` vertices with shuffled labels: K_{k+1}, then
+    each new vertex joins a random k-clique of the graph so far."""
+    edges = list(combinations(range(k + 1), 2))
+    cliques = list(combinations(range(k + 1), k))
+    for v in range(k + 1, n):
+        base = rng.choice(cliques)
+        edges += [(w, v) for w in base]
+        cliques += [tuple(sorted(set(base) - {w})) + (v,) for w in base]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+    if not is_chordal(g):
+        raise AssertionError(f"{k}-tree on {n} vertices is not chordal")
+    return g
+
+
+def planted_host(rng: random.Random, pattern: Graph, n: int) -> tuple[Graph, list[set[int]]]:
+    """A sparse ``n``-vertex host holding a model of ``pattern``, and its bags.
+
+    Each bag is a random tree on 1 to 3 vertices; each pattern edge becomes
+    one host edge between its bags and no other edge joins two bags.  The
+    other vertices form a random spanning tree plus about ``n/2`` edges, and
+    each bag vertex gets up to two edges into them.
+    """
+    sizes = [rng.randint(1, 3) for _ in range(pattern.n)]
+    m = sum(sizes)
+    bags, edges, start = [], set(), 0
+    for s in sizes:
+        members = list(range(start, start + s))
+        for i in range(1, s):
+            edges.add((members[rng.randrange(i)], members[i]))
+        bags.append(members)
+        start += s
+    for a, b in pattern.edges():
+        edges.add((rng.choice(bags[a]), rng.choice(bags[b])))
+    base = list(range(m, n))
+    for i in range(1, len(base)):
+        edges.add((base[rng.randrange(i)], base[i]))
+    while len(edges) < (n - 1) + n // 2:
+        a, b = sorted(rng.sample(base, 2))
+        edges.add((a, b))
+    for x in range(m):
+        for y in rng.sample(base, rng.randint(0, 2)):
+            edges.add((x, y))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    host = Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+    return host, [{perm[x] for x in bag} for bag in bags]

@@ -218,6 +218,15 @@ class TestRun:
         gpath = files("g.g6", to_graph6(named_graph("cycle_6")))
         assert run(["--pattern", "gem", "--graph", gpath, "--algorithm", "snt"]) == 1
 
+    @pytest.mark.parametrize("name", ["auto", "ptfree", "oracle"])
+    def test_empty_pattern_exit_1_in_every_mode(self, files, capsys, name):
+        ppath = files("e0.txt", "0 0\n")
+        gpath = files("p3.txt", "3 2\n0 1\n1 2\n")
+        code = run(["--pattern-file", ppath, "--graph", gpath, "--algorithm", name])
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "at least one vertex" in out.err
+
     @pytest.mark.parametrize("name", ["gem", "fullhouse"])
     def test_forced_decomposition_route_on_house_exit_1(self, files, capsys, name):
         gpath = files("g.g6", to_graph6(named_graph("gem")))

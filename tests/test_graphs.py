@@ -22,12 +22,14 @@ from indminor.graphs import (
     is_pt_free,
     is_wheel,
     longest_induced_path,
+    mask_of,
     neighbor_mask,
     quotient_by_preimages,
     set_of,
     shortest_path_avoiding,
     subdivide_edge,
     to_edgelist,
+    touching_component,
     to_graph6,
 )
 from indminor.oracle import induced_subgraph_search
@@ -168,6 +170,32 @@ class TestComponents:
 
     def test_edgeless(self):
         assert self.components(Graph.from_edges(3, [])) == [0b001, 0b010, 0b100]
+
+    def test_touching_component_skips_components_missing_a_need(self):
+        # components {0,1}, {2,3}, {4}: only {2,3} meets both needs
+        g = Graph.from_edges(5, [(0, 1), (2, 3)])
+        assert touching_component(g.adj, 0b11111, [0b00110, 0b01000]) == 0b01100
+        assert touching_component(g.adj, 0b11111, [0b00001, 0b10000]) == 0
+        assert touching_component(g.adj, 0b11110, []) == 0b00010
+        assert touching_component(g.adj, 0, [0b11111]) == 0
+        assert touching_component(g.adj, 0, []) == 0
+
+    def test_touching_component_orders_by_smallest_member_not_seed(self):
+        # {1} is seeded first, but {0, 3} has the smaller member
+        g = Graph.from_edges(4, [(0, 3)])
+        assert touching_component(g.adj, 0b1111, [0b1010]) == 0b1001
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_touching_component_is_first_qualifying_component(self, g, data):
+        masks = st.integers(min_value=0, max_value=g.full_mask())
+        m = data.draw(masks)
+        needs = data.draw(st.lists(masks, max_size=3))
+        expected = next(
+            (c for c in component_masks(g.adj, m) if all(c & need for need in needs)),
+            0,
+        )
+        assert touching_component(g.adj, m, needs) == expected
 
 
 class TestBlocks:
@@ -316,22 +344,72 @@ class TestWheel:
 class TestShortestPathAvoiding:
     def test_forced_detour(self):
         c6 = named_graph("cycle_6")
-        assert shortest_path_avoiding(c6, {0}, {3}, {1}) == [0, 5, 4, 3]
+        assert shortest_path_avoiding(c6, 1 << 0, 1 << 3, 1 << 1) == [0, 5, 4, 3]
 
     def test_disconnected(self):
-        assert shortest_path_avoiding(named_graph("path_4"), {0}, {3}, {2}) is None
+        assert shortest_path_avoiding(named_graph("path_4"), 1 << 0, 1 << 3, 1 << 2) is None
 
     def test_direct_edge(self):
-        assert shortest_path_avoiding(named_graph("complete_4"), {0}, {1}, set()) == [0, 1]
+        assert shortest_path_avoiding(named_graph("complete_4"), 1 << 0, 1 << 1) == [0, 1]
 
     def test_lexicographic_tie_break(self):
         # two shortest routes 0-1-3 and 0-2-3: the smaller middle wins
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        assert shortest_path_avoiding(g, {0}, {3}, set()) == [0, 1, 3]
+        assert shortest_path_avoiding(g, 1 << 0, 1 << 3) == [0, 1, 3]
 
     def test_overlap_rejected(self):
         with pytest.raises(GraphError):
-            shortest_path_avoiding(named_graph("path_3"), {0}, {2}, {0})
+            shortest_path_avoiding(named_graph("path_3"), 1 << 0, 1 << 2, 1 << 0)
+
+    @staticmethod
+    def brute_shortest_paths(g, sources, targets, allowed):
+        """Every shortest source-to-target path inside ``allowed``, by
+        enumerating simple paths of growing length."""
+        for length in range(len(allowed)):
+            found = []
+            stack = [[s] for s in sorted(sources)]
+            while stack:
+                path = stack.pop()
+                if len(path) == length + 1:
+                    if path[-1] in targets:
+                        found.append(path)
+                    continue
+                for w in allowed - set(path):
+                    if g.has_edge(path[-1], w):
+                        stack.append(path + [w])
+            if found:
+                return found
+        return []
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_agrees_with_networkx_and_brute_force(self, g, data):
+        import networkx as nx
+
+        vertices = st.sets(st.integers(min_value=0, max_value=g.n - 1), min_size=1)
+        sources = data.draw(vertices)
+        targets = data.draw(vertices)
+        forbidden = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+        forbidden -= sources | targets
+        allowed = set(range(g.n)) - forbidden
+        path = shortest_path_avoiding(
+            g, mask_of(sources), mask_of(targets), mask_of(forbidden)
+        )
+        sub = nx.Graph()
+        sub.add_nodes_from(allowed)
+        sub.add_edges_from(e for e in g.edges() if set(e) <= allowed)
+        lengths = [
+            nx.shortest_path_length(sub, s, t)
+            for s in sources
+            for t in targets
+            if nx.has_path(sub, s, t)
+        ]
+        if not lengths:
+            assert path is None
+            return
+        assert path is not None and not set(path) & forbidden
+        assert len(path) - 1 == min(lengths)
+        assert path == min(self.brute_shortest_paths(g, sources, targets, allowed))
 
 
 class TestGraph6:

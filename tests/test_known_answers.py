@@ -1,0 +1,54 @@
+"""Known answers past the oracle's horizon: hosts whose answer holds by
+construction at any size.
+
+k-trees are chordal, and chordal graphs are closed under vertex deletion and
+edge contraction, so a pattern with an induced cycle of length at least 4
+is never an induced minor of one.  A planted model is a "yes" by
+construction; its witness is checked by the set-based reference checker.
+"""
+
+import random
+
+import pytest
+
+from conftest import is_chordal, ktree, naive_verify_model, pc_of, planted_host
+from indminor.catalog import named_graph
+from indminor.solvers import solve_house_bull, solve_snt_single
+
+FLOWER_HOLES = ["cycle_4", "cycle_5", "cycle_6"]
+
+
+def test_chordality_check_rejects_a_hole():
+    assert is_chordal(named_graph("cycle_3"))
+    assert not is_chordal(named_graph("cycle_4"))
+    assert not is_chordal(named_graph("house"))
+
+
+@pytest.mark.parametrize("k, n", [(2, 40), (2, 80), (3, 40), (3, 80)])
+def test_no_hole_pattern_in_a_ktree(k, n):
+    g = ktree(random.Random(1000 * k + n), n, k)
+    for name in FLOWER_HOLES:
+        h = named_graph(name)
+        answer = solve_snt_single(g, h, pc_of(h, "flower"))
+        assert not answer.contains, name
+    house = named_graph("house")
+    assert not solve_house_bull(g, house, pc_of(house, "generalized_house")).contains
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "name, kind, solve",
+    [
+        ("cycle_5", "flower", solve_snt_single),
+        ("house", "generalized_house", solve_house_bull),
+        ("bull", "generalized_bull", solve_house_bull),
+    ],
+)
+def test_planted_model_is_found(name, kind, solve, seed):
+    h = named_graph(name)
+    g, bags = planted_host(random.Random(seed), h, 60)
+    assert naive_verify_model(h, g, bags)  # the plant itself is a model
+    answer = solve(g, h, pc_of(h, kind))
+    assert answer.contains and answer.witness is not None
+    assert answer.witness.host == g
+    assert naive_verify_model(h, g, answer.witness.bags)
