@@ -3,13 +3,14 @@
 One table, :data:`ROUTES`, orders every route.  :func:`dispatch` walks it
 once, top to bottom, in auto mode, ``--algorithm NAME`` forces the row
 named ``NAME`` and the ``--algorithm`` choices are the table's names.  The
-exhaustive search is the last route; it takes hosts of at most
-:data:`~indminor.oracle.MAX_ORACLE_HOST` vertices.
+last row is the one exact fallback, the bounded-bag search: it decides every
+host of at most :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices and every
+larger host without an induced path on :data:`T_PROBE` vertices.
 
 Exit codes: 0 = decided (JSON on stdout), 1 = malformed input, a forced
 route whose precondition fails, or an internal error (a message on stderr),
-2 = unsupported instance (no polynomial route taken and the host above the
-exhaustive-search cap).
+2 = unsupported instance (no family route applies, the host has more than
+12 vertices and an induced P8).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .graphs import (
     from_graph6,
 )
 from .models import Answer, ModelError, witness_to_dict
-from .oracle import MAX_ORACLE_HOST, SearchCapExceeded, induced_minor_exhaustive
+from .oracle import MAX_ORACLE_HOST, SearchCapExceeded
 from .solvers import (
     SolverPreconditionError,
     solve_clique,
@@ -44,7 +45,7 @@ from .solvers import (
 if TYPE_CHECKING:
     import argparse
 
-# longest induced path the P_t-free fallback allows
+# on hosts above the cap, the fallback needs no induced path on this many vertices
 T_PROBE = 8
 
 
@@ -53,28 +54,25 @@ class UnsupportedInstance(Exception):
 
 
 def _pt_free_route(g: Graph, h: Graph) -> Answer | None:
+    t = g.n + 1 if g.n <= MAX_ORACLE_HOST else T_PROBE
     try:
-        return solve_pt_free(g, h, T_PROBE)
+        return solve_pt_free(g, h, t)
     except SolverPreconditionError:
         return None
 
 
-def _oracle_route(g: Graph, h: Graph) -> Answer:
-    if g.n > MAX_ORACLE_HOST:
-        raise UnsupportedInstance(
-            f"no polynomial route was taken and the host has {g.n} vertices, "
-            f"above the exhaustive-search cap of {MAX_ORACLE_HOST}"
-        )
-    witness = induced_minor_exhaustive(g, h)
-    return Answer(witness is not None, "oracle", witness)
+def _refusal(g: Graph) -> str:
+    return (
+        f"the host has more than {MAX_ORACLE_HOST} vertices ({g.n}) and an "
+        f"induced P{T_PROBE}"
+    )
 
 
 # The only ordering of routes: dispatch walks the rows top to bottom.  Each is
 # (classify kinds served, or () for a row that applies to every pattern;
 #  --algorithm name, or None;
 #  auto-mode guard(g, pc), or None when the row always applies;
-#  solver(g, h, pc), which answers or returns None to pass to the next row;
-#  the oracle, last, answers or refuses).
+#  solver(g, h, pc), which answers or returns None to pass to the next row).
 # ``pc`` is the PatternClass of ``classify(h)`` whose kind picked the row
 # (None for a row with no kinds); a family solver reads every role from it
 # and recognises nothing itself.  The family rows are in the order of
@@ -97,7 +95,6 @@ ROUTES = (
     (("gem",), "gem", None, lambda g, h, pc: solve_gem(g)),
     (("full_house",), "fullhouse", None, lambda g, h, pc: solve_full_house(g)),
     ((), "ptfree", None, lambda g, h, pc: _pt_free_route(g, h)),
-    ((), "oracle", None, lambda g, h, pc: _oracle_route(g, h)),
 )
 _BY_NAME = {row[1]: row for row in ROUTES if row[1]}
 
@@ -108,15 +105,16 @@ def dispatch(g: Graph, h: Graph, algorithm: str = "auto") -> Answer:
     In auto mode the rows are walked once, top to bottom.  A row applies
     when one of its kinds is among ``classify(h)``, or it has no kinds, and
     its guard holds; its solver answers or returns ``None`` to pass.  The
-    family rows come first; then hosts without an induced P8; then the
-    exhaustive oracle, which refuses hosts above
-    :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices with
-    :class:`UnsupportedInstance` (``imc`` exit 2).  Any other ``algorithm``
-    runs the row of that name without its guard: a pattern outside the
-    row's families, or a host with an induced P8 under ``ptfree``, raises
-    :class:`~indminor.solvers.SolverPreconditionError` (``imc`` exit 1), and
-    ``oracle`` refuses hosts above the cap as in auto mode.  In both modes a
-    pattern with no vertices raises :class:`~indminor.graphs.GraphError`.
+    family rows come first; the last row is the one exact fallback, the
+    bounded-bag search, which passes only when the host has more than
+    :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices and an induced path on
+    :data:`T_PROBE` vertices; then no row has answered, and
+    :class:`UnsupportedInstance` is raised (``imc`` exit 2).  Any other
+    ``algorithm`` runs the row of that name without its guard: a pattern
+    outside the row's families, or under ``ptfree`` a host the fallback
+    passes on, raises :class:`~indminor.solvers.SolverPreconditionError`
+    (``imc`` exit 1).  In both modes a pattern with no vertices raises
+    :class:`~indminor.graphs.GraphError`.
     """
     if h.n < 1:
         raise GraphError("patterns need at least one vertex")
@@ -132,6 +130,7 @@ def dispatch(g: Graph, h: Graph, algorithm: str = "auto") -> Answer:
         answer = solve(g, h, pc)
         if answer is not None:
             return answer
+    raise UnsupportedInstance(f"no polynomial route applies: {_refusal(g)}")
 
 
 def _forced(g: Graph, h: Graph, alg: str) -> Answer:
@@ -148,9 +147,7 @@ def _forced(g: Graph, h: Graph, alg: str) -> Answer:
             )
     answer = solve(g, h, pc)
     if answer is None:
-        raise SolverPreconditionError(
-            f"--algorithm {alg}: host is not P_t-free for any t <= {T_PROBE}"
-        )
+        raise SolverPreconditionError(f"--algorithm {alg}: {_refusal(g)}")
     return answer
 
 

@@ -508,8 +508,11 @@ def clique_minor_test(host: Graph, k: int) -> Model | None:
 
     k <= 2 is a direct check, k = 3 finds a cycle and splits it into three
     arcs, k = 4 runs the series-parallel reduction (stuck with minimum degree
-    >= 3 iff a K_4 minor exists) and recovers a witness on the stuck graph,
-    k >= 5 delegates to the rooted search under :data:`MAX_ORACLE_HOST`.
+    >= 3 iff a K_4 minor exists) and takes the first model of the uncapped
+    exhaustive search on the stuck graph, and k >= 5 is
+    :func:`induced_minor_exhaustive`, which refuses hosts above
+    :data:`MAX_ORACLE_HOST`.  For a complete pattern, minor and induced-minor
+    models coincide.
     """
     if k < 1:
         raise GraphError("k must be positive")
@@ -534,14 +537,9 @@ def clique_minor_test(host: Graph, k: int) -> Model | None:
         if reduced is None:
             return None
         stuck, preimages = reduced
-        inner = rooted_clique_minor(stuck, [(), (), (), ()])
+        inner = next(iter_induced_minor_models(stuck, complete_graph(4)), None)
         if inner is None:
             raise InvariantViolation("min degree >= 3 but no K_4 minor found")
         trace = ContractionTrace(host, stuck, preimages, allows_deletions=True)
         return lift_through_trace(inner, trace)
-    if host.n > MAX_ORACLE_HOST:
-        raise SearchCapExceeded(
-            f"k={k} clique search needs the exhaustive engine; host has "
-            f"{host.n} vertices, cap is {MAX_ORACLE_HOST}"
-        )
-    return rooted_clique_minor(host, [()] * k)
+    return induced_minor_exhaustive(host, complete_graph(k))

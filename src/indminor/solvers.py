@@ -18,7 +18,7 @@ never a "no".
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import catalog
 from .catalog import PatternClass
@@ -341,7 +341,9 @@ def solve_pt_free(g: Graph, h: Graph, t: int) -> Answer:
     otherwise measures the least ``s = max(2, longest + 1)`` with the host
     P_s-free.  In such hosts a minimal model uses bags of size at most
     ``1 + deg(u) * (s - 2)`` per pattern vertex ``u``, so bounded-bag
-    backtracking under those caps is complete.
+    backtracking under those caps is complete.  No host has an induced path
+    on more vertices than it has, so ``t = g.n + 1`` is always admissible and
+    makes this an exact test on any host.
     """
     longest = longest_induced_path(g, t)
     if longest >= t:
@@ -358,19 +360,20 @@ def solve_pt_free(g: Graph, h: Graph, t: int) -> Answer:
 # decomposition-theorem solvers: gem and full house
 
 
-def _structure_branch_witness(gb: Graph, pattern: Graph) -> Model | None:
-    """Witness search for a yes concluded from a decomposition theorem:
-    exhaustive under the oracle cap, else bags of at most 3 vertices."""
+def _structure_branch_yes(gb: Graph, pattern: Graph, method: str) -> Answer:
+    """A yes concluded from a decomposition theorem, with a witness from the
+    exhaustive search under the oracle cap, else from bags of at most 3
+    vertices, else certified without one."""
     if gb.n <= MAX_ORACLE_HOST:
         found = induced_minor_exhaustive(gb, pattern)
         if found is None:
             raise InvariantViolation("the structure theorem promised a model")
-        return found
+        return answer_yes(found, method)
     for cap in (1, 2, 3):
         found = bounded_bag_search(gb, pattern, [cap] * pattern.n)
         if found is not None:
-            return found
-    return None
+            return answer_yes(found, method)
+    return Answer(True, method, None, certified_without_witness=True)
 
 
 def _block_subgraphs(g: Graph, minimum: int) -> list[tuple[Graph, tuple[int, ...]]]:
@@ -379,6 +382,20 @@ def _block_subgraphs(g: Graph, minimum: int) -> list[tuple[Graph, tuple[int, ...
         if len(block) >= minimum:
             out.append(induced_subgraph(g, sorted(block)))
     return out
+
+
+def _solve_by_blocks(g: Graph, pattern: Graph, method: str, decide: Callable) -> Answer:
+    """Decide a 2-connected pattern by ``decide(block, pattern)`` per block:
+    the first witness, remapped into ``g``, else any bare positive, else no."""
+    certified = False
+    for gb, vmap in _block_subgraphs(g, 5):
+        ans = decide(gb, pattern)
+        if ans.witness is not None:
+            return answer_yes(_remap_model(ans.witness, g, vmap), method)
+        certified = certified or ans.contains
+    if certified:
+        return Answer(True, method, None, certified_without_witness=True)
+    return answer_no(method)
 
 
 def solve_gem(g: Graph) -> Answer:
@@ -390,34 +407,28 @@ def solve_gem(g: Graph) -> Answer:
     path components are contracted to P3, making the block free of induced
     P28, and the bounded-bag solver decides exactly.
     """
-    gem = catalog.named_graph("gem")
-    certified = False
-    for gb, vmap in _block_subgraphs(g, 5):
-        found_x = None
-        verts = list(range(gb.n))
-        for size in range(0, 7):
-            for xs in combinations(verts, size):
-                if _gem_structure_ok(gb, mask_of(xs)):
-                    found_x = xs
-                    break
-            if found_x is not None:
+    return _solve_by_blocks(g, catalog.named_graph("gem"), "gem", _gem_block)
+
+
+def _gem_block(gb: Graph, gem: Graph) -> Answer:
+    found_x = None
+    verts = list(range(gb.n))
+    for size in range(0, 7):
+        for xs in combinations(verts, size):
+            if _gem_structure_ok(gb, mask_of(xs)):
+                found_x = xs
                 break
-        if found_x is None:
-            witness = _structure_branch_witness(gb, gem)
-            if witness is not None:
-                return answer_yes(_remap_model(witness, g, vmap), "gem")
-            certified = True
-            continue
-        trace = _contract_long_paths(gb, mask_of(found_x))
-        try:
-            ans = solve_pt_free(trace.target, gem, 28)
-        except SolverPreconditionError as exc:
-            raise InvariantViolation("contraction left an induced P28") from exc
-        if ans.contains:
-            lifted = lift_through_trace(ans.witness, trace)
-            return answer_yes(_remap_model(lifted, g, vmap), "gem")
-    if certified:
-        return Answer(True, "gem", None, certified_without_witness=True)
+        if found_x is not None:
+            break
+    if found_x is None:
+        return _structure_branch_yes(gb, gem, "gem")
+    trace = _contract_long_paths(gb, mask_of(found_x))
+    try:
+        ans = solve_pt_free(trace.target, gem, 28)
+    except SolverPreconditionError as exc:
+        raise InvariantViolation("contraction left an induced P28") from exc
+    if ans.contains:
+        return answer_yes(lift_through_trace(ans.witness, trace), "gem")
     return answer_no("gem")
 
 
@@ -465,17 +476,9 @@ def solve_full_house(g: Graph) -> Answer:
     direct characterization).  When none holds, the block contains the
     pattern by the decomposition theorem.
     """
-    fh = catalog.named_graph("full_house")
-    certified = False
-    for gb, vmap in _block_subgraphs(g, 5):
-        ans = _full_house_block(gb, fh)
-        if ans.contains and ans.witness is not None:
-            return answer_yes(_remap_model(ans.witness, g, vmap), "fullhouse")
-        if ans.contains:
-            certified = True
-    if certified:
-        return Answer(True, "fullhouse", None, certified_without_witness=True)
-    return answer_no("fullhouse")
+    return _solve_by_blocks(
+        g, catalog.named_graph("full_house"), "fullhouse", _full_house_block
+    )
 
 
 def _full_house_block(gb: Graph, fh: Graph) -> Answer:
@@ -521,10 +524,7 @@ def _full_house_block(gb: Graph, fh: Graph) -> Answer:
         witness = _cycle_twins_witness(gb, fh, cycle, twins, hood)
         return answer_yes(witness, "fullhouse")
     # no property holds: the decomposition theorem forces containment
-    witness = _structure_branch_witness(gb, fh)
-    if witness is not None:
-        return answer_yes(witness, "fullhouse")
-    return Answer(True, "fullhouse", None, certified_without_witness=True)
+    return _structure_branch_yes(gb, fh, "fullhouse")
 
 
 def _subdivision_structure(gb: Graph):
@@ -604,11 +604,17 @@ def _subdivision_witness(gb: Graph, fh: Graph, branches, chosen) -> Model:
         if absorbed >> v & 1:
             continue
         preimages.append(frozenset(absorb.get(v, set()) | {v}))
+    return _quotient_witness(gb, fh, preimages, "one subdivided edge hosts a model")
+
+
+def _quotient_witness(g: Graph, h: Graph, preimages: list, promise: str) -> Model:
+    """Contract ``preimages`` (at most 7 sets), search the quotient exhaustively
+    and lift; no model there breaks ``promise``, an invariant."""
     preimages.sort(key=min)
-    trace = quotient_by_preimages(gb, preimages)
-    core_model = induced_minor_exhaustive(trace.target, fh)
+    trace = quotient_by_preimages(g, preimages)
+    core_model = induced_minor_exhaustive(trace.target, h)
     if core_model is None:
-        raise InvariantViolation("one subdivided edge always hosts a model")
+        raise InvariantViolation(promise)
     return lift_through_trace(core_model, trace)
 
 
@@ -669,12 +675,9 @@ def _cycle_twins_witness(
     preimages = [frozenset(arc) for arc in arcs]
     preimages.append(frozenset({inv[i1]}))
     preimages.append(frozenset({inv[i2]}))
-    preimages.sort(key=min)
-    trace = quotient_by_preimages(sub, preimages)
-    core_model = induced_minor_exhaustive(trace.target, fh)
-    if core_model is None:
-        raise InvariantViolation("the characterization promised a model")
-    lifted = lift_through_trace(core_model, trace)
+    lifted = _quotient_witness(
+        sub, fh, preimages, "the characterization promised a model"
+    )
     return _remap_model(lifted, gb, vmap)
 
 

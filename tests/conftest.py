@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from indminor.catalog import PatternClass, classify
-from indminor.graphs import Graph
+from indminor.graphs import Graph, longest_induced_path
 
 
 # catalog patterns that dispatch sends to a specialized (non-oracle) solver
@@ -283,3 +283,20 @@ def planted_host(rng: random.Random, pattern: Graph, n: int) -> tuple[Graph, lis
     rng.shuffle(perm)
     host = Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
     return host, [{perm[x] for x in bag} for bag in bags]
+
+
+def induced_p8_host(rng: random.Random, n: int, p: float) -> Graph:
+    """A seeded host on ``n >= 8`` vertices with an induced P8: the chordless
+    path 0..7, every pair with a vertex beyond it joined with probability
+    ``p``, labels shuffled."""
+    edges = [(i, i + 1) for i in range(7)]
+    edges += [
+        (i, j) for i in range(n) for j in range(max(i + 1, 8), n)
+        if rng.random() < p
+    ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = Graph.from_edges(n, [(perm[a], perm[b]) for a, b in edges])
+    if longest_induced_path(g, 8) < 8:
+        raise AssertionError(f"{n}-vertex host has no induced P8")
+    return g

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +9,28 @@ from pathlib import Path
 import pytest
 
 import indminor
-from conftest import SWEEP_PATTERNS
+from conftest import SWEEP_PATTERNS, induced_p8_host
 from indminor import cli, graphs, solvers
 from indminor.catalog import classify, named_graph
 from indminor.cli import ROUTES, UnsupportedInstance, dispatch, run
-from indminor.graphs import InvariantViolation, to_edgelist, to_graph6
+from indminor.graphs import Graph, InvariantViolation, to_edgelist, to_graph6
 from indminor.models import ModelError, verify_model, witness_from_dict
 from indminor.oracle import MAX_ORACLE_HOST, induced_minor_exhaustive
+
+
+# patterns that no family row serves: only the bounded-bag fallback decides them
+UNROUTED = [
+    named_graph("k23"),
+    named_graph("w4"),
+    named_graph("prism"),
+    named_graph("k33"),
+    # kite: a diamond plus a pendant at a degree-2 vertex
+    Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4)]),
+    # K4 plus a pendant vertex
+    Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]),
+    # K2,3 plus one edge inside the 3-side
+    Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)]),
+]
 
 
 @pytest.fixture()
@@ -44,12 +60,13 @@ class TestDispatch:
         assert a.method == "ptfree" and not a.contains
 
     def test_unsupported_pattern_oracle_window(self):
-        host = named_graph("cycle_12")  # long induced paths, within oracle cap
+        # long induced paths within the cap: the bounded-bag search is exact
+        host = named_graph("cycle_12")
         a = dispatch(host, named_graph("w4"))
-        assert a.method == "oracle" and not a.contains
+        assert a.method == "ptfree" and not a.contains
         # one vertex more is past the cap
         assert MAX_ORACLE_HOST == 12
-        with pytest.raises(UnsupportedInstance):
+        with pytest.raises(UnsupportedInstance, match="more than 12 vertices"):
             dispatch(named_graph("cycle_13"), named_graph("w4"))
 
     def test_unsupported_error(self):
@@ -72,6 +89,21 @@ class TestDispatch:
                 )
         a = dispatch(named_graph("cycle_7"), named_graph("w4"))
         assert a.method == "ptfree" and len(calls) == 1
+
+    # (host size, edge probability, seed): hosts on which the exhaustive
+    # search finishes within about two seconds for all seven patterns
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(8, 0.5, 0), (9, 0.3, 3), (10, 0.7, 0), (11, 0.5, 2), (12, 0.6, 2)],
+    )
+    def test_fallback_is_exact_up_to_the_cap_despite_an_induced_p8(self, n, p, seed):
+        g = induced_p8_host(random.Random(seed), n, p)
+        for h in UNROUTED:
+            assert [pc.kind for pc in classify(h)] == ["unsupported"]
+            a = dispatch(g, h)
+            assert a.method == "ptfree"
+            assert a.contains == (induced_minor_exhaustive(g, h) is not None)
+            assert a.witness is None or verify_model(a.witness)
 
 
 class TestRoutes:
@@ -101,7 +133,6 @@ class TestRoutes:
             ("gem", "gem"),
             ("fullhouse", "full_house"),
             ("ptfree", "w4"),
-            ("oracle", "house"),
         ],
     )
     def test_forced_route_decides_its_family(self, name, pattern):
@@ -191,12 +222,6 @@ class TestRun:
         assert run(["--pattern", "house", "--graph", str(gpath)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_forced_oracle_above_cap_exit_2(self, files, capsys):
-        gpath = files("g.g6", to_graph6(named_graph("cycle_13")))
-        code = run(["--pattern", "house", "--graph", gpath, "--algorithm", "oracle"])
-        assert code == 2
-        assert "unsupported" in capsys.readouterr().err
-
     def test_module_entry_point_prints_no_warning(self):
         src = str(Path(indminor.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -208,17 +233,44 @@ class TestRun:
         assert proc.returncode == 0 and "--algorithm" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
 
-    def test_forced_oracle(self, files, capsys):
+    @pytest.mark.parametrize(
+        "algorithm, host, code",
+        [
+            ("auto", "cycle_12", 0),
+            ("auto", "cycle_13", 2),
+            ("ptfree", "cycle_12", 0),
+            ("ptfree", "cycle_13", 1),
+        ],
+    )
+    def test_w4_at_the_host_size_cap(self, files, capsys, algorithm, host, code):
+        gpath = files("g.g6", to_graph6(named_graph(host)))
+        args = ["--pattern", "w4", "--graph", gpath, "--algorithm", algorithm]
+        assert run(args) == code
+        out = capsys.readouterr()
+        if code == 0:
+            payload = json.loads(out.out)
+            assert payload["method"] == "ptfree" and payload["contains"] is False
+        else:
+            assert out.out == ""
+            assert "more than 12 vertices (13) and an induced P8" in out.err
+
+    def test_algorithm_oracle_is_an_invalid_choice(self, files, capsys):
+        action = next(
+            a for a in cli._build_parser()._actions if a.dest == "algorithm"
+        )
+        assert action.choices == [
+            "auto", "snt", "house-bull", "split", "gem", "fullhouse", "ptfree",
+        ]
         gpath = files("g.g6", to_graph6(named_graph("cycle_6")))
         code = run(["--pattern", "house", "--graph", gpath, "--algorithm", "oracle"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["method"] == "oracle"
+        assert code == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_forced_mismatch_exit_1(self, files, capsys):
         gpath = files("g.g6", to_graph6(named_graph("cycle_6")))
         assert run(["--pattern", "gem", "--graph", gpath, "--algorithm", "snt"]) == 1
 
-    @pytest.mark.parametrize("name", ["auto", "ptfree", "oracle"])
+    @pytest.mark.parametrize("name", ["auto", "ptfree"])
     def test_empty_pattern_exit_1_in_every_mode(self, files, capsys, name):
         ppath = files("e0.txt", "0 0\n")
         gpath = files("p3.txt", "3 2\n0 1\n1 2\n")
