@@ -235,6 +235,26 @@ def touching_component(adj: Sequence[int], m: int, needs: Sequence[int]) -> int:
     return best
 
 
+def touching_region(adj: Sequence[int], m: int, needs: Sequence[int]) -> int:
+    """The union of the components of ``G[m]`` that meet every mask in
+    ``needs`` (all of ``m`` when there are none).
+
+    Grows the same components as :func:`touching_component`, those seeded
+    from ``m & needs[0]``, and keeps every one that qualifies.
+    """
+    if not needs:
+        return m
+    rest = needs[1:]
+    region = 0
+    seeds = m & needs[0]
+    while seeds:
+        comp = _grow(adj, seeds & -seeds, m)
+        seeds &= ~comp
+        if all(comp & need for need in rest):
+            region |= comp
+    return region
+
+
 # ---------------------------------------------------------------------------
 # structural operations
 

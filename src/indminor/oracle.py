@@ -24,6 +24,21 @@ cut down to the neighborhoods of the adjacent placed bags and outside the
 closed neighborhoods of the non-adjacent ones.  Singleton bags are the set
 bits of that mask in ascending order; larger bags are connected sets grown
 from a root inside it.
+
+Twin rule: when swapping two pattern vertices of the same cap preserves the
+pattern and the free pairs, only the assignment in which the later one's
+bag lies above the lowest vertex of the earlier one's bag is made, one mask
+cut per position.  It is the first of the two in the enumeration order, so
+callers whose completion is symmetric under the swap keep their first
+witness.
+
+:func:`iter_premodel_prefixes` is the same walk stopped one level early
+when the last vertex of the order has cap 1: it yields each placement of
+the others with the whole candidate mask in the last vertex's entry, and
+expanding those masks bit by bit gives the sequence of
+:func:`iter_premodels`.  A solver
+whose completion depends mostly on the prefix can then test all candidates
+of a prefix with a few mask operations.
 """
 
 from __future__ import annotations
@@ -280,31 +295,17 @@ def _connected_sets(adj: Sequence[int], allowed: int, cap: int) -> Iterator[int]
                 stack.append((grown, ext | (nw & above & ~seen), seen | nw))
 
 
-def iter_premodels(
+def _walk_premodels(
     host: Graph,
     pattern: Graph,
     order: Sequence[int],
     caps: Sequence[int],
-    free: Sequence[int] | None = None,
+    free: Sequence[int] | None,
+    whole_last: bool,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every assignment of disjoint connected bags to the pattern
-    vertices in ``order``, as a tuple of host masks indexed by pattern vertex
-    (0 for the vertices outside ``order``).
-
-    The bag of ``u`` has at most ``caps[u]`` vertices.  Two placed bags are
-    adjacent exactly when their pattern vertices are, except for the pairs
-    marked in ``free``: ``free[u]`` is a mask of pattern vertices whose
-    adjacency to ``u`` is neither required nor forbidden (symmetric, like
-    the pattern's adjacency).
-
-    Vertices are placed in ``order``.  Singleton bags are tried in ascending
-    host order, so assignments of cap-1 vertices come out in lexicographic
-    order along ``order``.  A cap-1 vertex with no free partner is taken to
-    keep its single vertex in every completion, so that vertex needs at
-    least the pattern degree.  Larger bags are the connected sets of the
-    candidate mask (:func:`_connected_sets`) that touch every adjacent
-    placed bag.
-    """
+    """The walk of :func:`iter_premodels`; with ``whole_last`` the last
+    vertex of ``order`` (cap 1) takes its whole non-empty candidate mask in
+    one step, as :func:`iter_premodel_prefixes` yields it."""
     hadj, padj = host.adj, pattern.adj
     bags = [0] * pattern.n
     k = len(order)
@@ -313,37 +314,52 @@ def iter_premodels(
         return
     if any(caps[u] < 1 for u in order):
         return
+    mates = free if free is not None else [0] * pattern.n
+    whole = k - 1 if whole_last else -1
+    full = host.full_mask()
     degree_masks: dict[int, int] = {}
     # per position: the cap, the placed vertices the bag must touch and must
-    # avoid, and the host vertices it may occupy
+    # avoid, the host vertices it may occupy, and its latest earlier twin
     levels = []
     for i, u in enumerate(order):
-        mates = free[u] if free is not None else 0
+        pu, mu, bu = padj[u], mates[u], 1 << u
         touch, avoid = [], []
+        twin = -1
         for w in order[:i]:
-            if mates >> w & 1:
-                continue
-            (touch if padj[u] >> w & 1 else avoid).append(w)
-        room = host.full_mask()
-        if caps[u] == 1 and not mates:
-            d = padj[u].bit_count()
+            bw = 1 << w
+            if (
+                padj[w] & ~bu == pu & ~bw
+                and mates[w] & ~bu == mu & ~bw
+                and caps[w] == caps[u]
+            ):
+                twin = w
+            if not mu & bw:
+                (touch if pu & bw else avoid).append(w)
+        room = full
+        if caps[u] == 1 and not mu:
+            d = pu.bit_count()
             if d not in degree_masks:
                 degree_masks[d] = mask_of(
                     x for x in range(host.n) if hadj[x].bit_count() >= d
                 )
             room = degree_masks[d]
-        levels.append((caps[u], touch, avoid, room))
+        levels.append((caps[u], touch, avoid, room, twin))
     nbr = [0] * pattern.n  # open neighborhood of each placed bag
     used = [0] * k  # host vertices taken before each position
 
     def candidates(i: int) -> int | Iterator[int]:
-        cap, touch, avoid, room = levels[i]
+        cap, touch, avoid, room, twin = levels[i]
         allowed = room & ~used[i]
         for w in avoid:
             allowed &= ~(nbr[w] | bags[w])
+        if twin >= 0:
+            low = bags[twin] & -bags[twin]
+            allowed &= ~((low << 1) - 1)
         if cap == 1:
             for w in touch:
                 allowed &= nbr[w]
+            if i == whole:
+                return iter((allowed,) if allowed else ())
             return allowed
         needs = [nbr[w] for w in touch]
         return (
@@ -367,16 +383,77 @@ def iter_premodels(
             i -= 1
             continue
         bags[u] = bag
+        if i + 1 == k:
+            yield tuple(bags)
+            continue
         if bag & (bag - 1):
             nbr[u] = neighbor_mask(hadj, bag)
         else:
             nbr[u] = hadj[bag.bit_length() - 1]
-        if i + 1 == k:
-            yield tuple(bags)
-            continue
         i += 1
         used[i] = used[i - 1] | bag
         pending[i] = candidates(i)
+
+
+def iter_premodel_prefixes(
+    host: Graph,
+    pattern: Graph,
+    order: Sequence[int],
+    caps: Sequence[int],
+    free: Sequence[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """:func:`iter_premodels` stopped one level early: for every placement of
+    ``order[:-1]`` that some premodel extends, in the same order, yield the
+    tuple of bags whose entry for the last vertex of ``order`` is the mask of
+    all its admissible single host vertices instead of one of them.
+
+    The last position must have cap 1.  Expanding each mask bit by bit, in
+    ascending order, gives exactly the sequence of :func:`iter_premodels`;
+    a caller that completes premodels can instead test a whole mask at once
+    against what depends on the prefix alone.
+    """
+    if not order or caps[order[-1]] != 1:
+        raise ValueError("the last vertex of order needs cap 1")
+    return _walk_premodels(host, pattern, order, caps, free, True)
+
+
+def iter_premodels(
+    host: Graph,
+    pattern: Graph,
+    order: Sequence[int],
+    caps: Sequence[int],
+    free: Sequence[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield every assignment of disjoint connected bags to the pattern
+    vertices in ``order``, one per twin orbit, as a tuple of host masks
+    indexed by pattern vertex (0 for the vertices outside ``order``).
+
+    The bag of ``u`` has at most ``caps[u]`` vertices.  Two placed bags are
+    adjacent exactly when their pattern vertices are, except for the pairs
+    marked in ``free``: ``free[u]`` is a mask of pattern vertices whose
+    adjacency to ``u`` is neither required nor forbidden (symmetric, like
+    the pattern's adjacency).
+
+    Vertices are placed in ``order``.  Singleton bags are tried in ascending
+    host order, so assignments of cap-1 vertices come out in lexicographic
+    order along ``order``.  A cap-1 vertex with no free partner is taken to
+    keep its single vertex in every completion, so that vertex needs at
+    least the pattern degree.  Larger bags are the connected sets of the
+    candidate mask (:func:`_connected_sets`) that touch every adjacent
+    placed bag.
+
+    Twin rule: ``w`` earlier in ``order`` and ``u`` are twins when they have
+    the same cap and swapping them preserves the pattern's adjacency and
+    ``free``.  Swapping their bags then maps assignments to assignments, so
+    only the one in which every vertex of ``u``'s bag lies above the lowest
+    vertex of ``w``'s bag is yielded.  That one comes first in the order
+    above, so a caller whose completion is invariant under the swap finds
+    the same first completing assignment as without the rule.
+
+    :func:`iter_premodel_prefixes` runs the same walk but places all the
+    candidates of a cap-1 last vertex at once.
+    """
+    return _walk_premodels(host, pattern, order, caps, free, False)
 
 
 def induced_subgraph_search(

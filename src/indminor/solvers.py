@@ -42,6 +42,7 @@ from .graphs import (
     set_of,
     shortest_path_avoiding,
     touching_component,
+    touching_region,
 )
 from .models import Answer, Model, answer_no, answer_yes, lift_through_trace
 from .oracle import (
@@ -49,6 +50,7 @@ from .oracle import (
     clique_minor_test,
     induced_minor_exhaustive,
     induced_subgraph_search,
+    iter_premodel_prefixes,
     iter_premodels,
     rooted_clique_minor,
 )
@@ -113,11 +115,28 @@ def solve_snt_single(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     Enumerates injective singleton premodels of ``V(h) - u`` with exact
     adjacency.  The bag of ``u`` must be a component of the host minus the
     neighbours' vertices and the closed neighbourhoods of the non-neighbours'
-    vertices, and it must touch every neighbour's vertex.  For each premodel
-    one :func:`~indminor.graphs.touching_component` call finds the first
-    such component in smallest-member order: only the components that meet
-    the neighbourhood of the first neighbour's vertex are grown, and each is
-    tested against the other neighbourhoods by mask intersection.
+    vertices, and it must touch every neighbour's vertex; the witness takes
+    the first such component in smallest-member order, found by one
+    :func:`~indminor.graphs.touching_component` call.
+
+    The premodels come one prefix at a time
+    (:func:`~indminor.oracle.iter_premodel_prefixes`): every vertex but the
+    last one ``x`` of the order is placed, and the entry of ``x`` is the
+    mask of its candidates ``c``.  The prefix alone fixes ``room``, the host
+    minus what its vertices block, and ``region``, the union of the
+    components of ``room`` that touch every placed neighbour's vertex
+    (:func:`~indminor.graphs.touching_region`).  Placing ``x`` only shrinks
+    ``room`` and adds needs, so the bag of ``u`` is a component of
+    ``region`` minus what ``c`` blocks, and an empty region rejects the
+    whole prefix.  When ``x`` is a neighbour of ``u``, the bag must also
+    touch N(c), so one mask test rejects every candidate with no neighbour
+    in ``region``; this covers every candidate inside ``room`` but outside
+    ``region``, and one outside ``room`` that passes the test blocks
+    nothing of ``region`` and always completes.  The candidates that are
+    left get the exact ``touching_component`` call inside ``region``, in
+    ascending order, and the first that completes gives the witness, so
+    the premodel and the bag are those of a one-by-one walk over the whole
+    host.
     """
     _require_kind(pc, "flower")
     if h.n > g.n:
@@ -125,23 +144,40 @@ def solve_snt_single(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     u = pc.center
     adj = g.adj
     full = g.full_mask()
-    ys = list(bits(h.adj[u]))
-    zs = [w for w in range(h.n) if w != u and not h.adj[u] >> w & 1]
-    for bags in iter_premodels(g, h, _premodel_order(h, u), [1] * h.n):
-        blocked = 0
+    order = _premodel_order(h, u)
+    if not order:  # the centre alone: its bag is the first component
+        return answer_yes(
+            Model(h, g, (set_of(touching_component(adj, full, ())),)), "snt_single"
+        )
+    *placed, x = order
+    ys = [w for w in placed if h.adj[u] >> w & 1]
+    zs = [w for w in placed if not h.adj[u] >> w & 1]
+    x_is_neighbour = h.adj[u] >> x & 1
+    for bags in iter_premodel_prefixes(g, h, order, [1] * h.n):
+        room = full
         needs = []
         for y in ys:
-            blocked |= bags[y]
+            room &= ~bags[y]
             needs.append(adj[bags[y].bit_length() - 1])
         for z in zs:
-            blocked |= bags[z] | adj[bags[z].bit_length() - 1]
-        comp = touching_component(adj, full & ~blocked, needs)
-        if comp:
-            witness = Model(h, g, tuple(
-                set_of(comp) if w == u else set_of(bag)
-                for w, bag in enumerate(bags)
-            ))
-            return answer_yes(witness, "snt_single")
+            room &= ~(bags[z] | adj[bags[z].bit_length() - 1])
+        region = touching_region(adj, room, needs)
+        if not region:
+            continue
+        for c in bits(bags[x]):
+            if x_is_neighbour:
+                if not adj[c] & region:
+                    continue
+                comp = touching_component(adj, region & ~(1 << c), needs + [adj[c]])
+            else:
+                comp = touching_component(adj, region & ~(adj[c] | 1 << c), needs)
+            if comp:
+                witness = Model(h, g, tuple(
+                    set_of(comp) if w == u else frozenset({c}) if w == x
+                    else set_of(bag)
+                    for w, bag in enumerate(bags)
+                ))
+                return answer_yes(witness, "snt_single")
     return answer_no("snt_single")
 
 
@@ -258,9 +294,11 @@ def solve_complete_split(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     independent set.
 
     Independent-side premodels are injective pairwise non-adjacent
-    singletons; for each, small disjoint seed sets (one per clique vertex,
-    each touching every independent bag's neighborhood) root an exact
-    clique-minor search in the remaining host.
+    singletons, one per vertex set, since the engine's twin rule places the
+    interchangeable independent vertices in ascending order; for each, small
+    disjoint seed sets (one per clique vertex, each touching every
+    independent bag's neighborhood) root an exact clique-minor search in the
+    remaining host.
     """
     _require_kind(pc, "complete_split")
     k, p = pc.k, pc.p
@@ -275,8 +313,6 @@ def solve_complete_split(g: Graph, h: Graph, pc: PatternClass) -> Answer:
 
     for premodel in iter_premodels(g, h, indep_vs, [1] * h.n):
         prem = [premodel[v].bit_length() - 1 for v in indep_vs]
-        if prem != sorted(prem):
-            continue  # independent vertices are twins: take each set once
         x_mask = mask_of(prem)
         rest_vertices = [x for x in range(n) if not x_mask >> x & 1]
         sub, vmap = induced_subgraph(g, rest_vertices)
@@ -345,35 +381,40 @@ def solve_pt_free(g: Graph, h: Graph, t: int) -> Answer:
     on more vertices than it has, so ``t = g.n + 1`` is always admissible and
     makes this an exact test on any host.
     """
+    witness = _pt_free_model(g, h, t)
+    if witness is None:
+        return answer_no("ptfree")
+    return answer_yes(witness, "ptfree")
+
+
+def _pt_free_model(g: Graph, h: Graph, t: int) -> Model | None:
+    """The unverified witness of :func:`solve_pt_free`, or ``None``."""
     longest = longest_induced_path(g, t)
     if longest >= t:
         raise SolverPreconditionError(f"host has an induced path on {t} vertices")
     s = max(2, longest + 1)
     caps = [1 + h.adj[u].bit_count() * (s - 2) for u in range(h.n)]
-    witness = bounded_bag_search(g, h, caps)
-    if witness is None:
-        return answer_no("ptfree")
-    return answer_yes(witness, "ptfree")
+    return bounded_bag_search(g, h, caps)
 
 
 # ---------------------------------------------------------------------------
 # decomposition-theorem solvers: gem and full house
 
 
-def _structure_branch_yes(gb: Graph, pattern: Graph, method: str) -> Answer:
-    """A yes concluded from a decomposition theorem, with a witness from the
+def _structure_branch(gb: Graph, pattern: Graph) -> Model | bool:
+    """A yes concluded from a decomposition theorem: a witness from the
     exhaustive search under the oracle cap, else from bags of at most 3
-    vertices, else certified without one."""
+    vertices, else ``True`` (certified without one)."""
     if gb.n <= MAX_ORACLE_HOST:
         found = induced_minor_exhaustive(gb, pattern)
         if found is None:
             raise InvariantViolation("the structure theorem promised a model")
-        return answer_yes(found, method)
+        return found
     for cap in (1, 2, 3):
         found = bounded_bag_search(gb, pattern, [cap] * pattern.n)
         if found is not None:
-            return answer_yes(found, method)
-    return Answer(True, method, None, certified_without_witness=True)
+            return found
+    return True
 
 
 def _block_subgraphs(g: Graph, minimum: int) -> list[tuple[Graph, tuple[int, ...]]]:
@@ -385,14 +426,16 @@ def _block_subgraphs(g: Graph, minimum: int) -> list[tuple[Graph, tuple[int, ...
 
 
 def _solve_by_blocks(g: Graph, pattern: Graph, method: str, decide: Callable) -> Answer:
-    """Decide a 2-connected pattern by ``decide(block, pattern)`` per block:
-    the first witness, remapped into ``g``, else any bare positive, else no."""
+    """Decide a 2-connected pattern by ``decide(block, pattern)`` per block,
+    which returns an unverified witness over the block, ``True`` for a yes
+    certified without one, or ``False``: the first witness, remapped into
+    ``g`` and verified there, else any bare positive, else no."""
     certified = False
     for gb, vmap in _block_subgraphs(g, 5):
-        ans = decide(gb, pattern)
-        if ans.witness is not None:
-            return answer_yes(_remap_model(ans.witness, g, vmap), method)
-        certified = certified or ans.contains
+        found = decide(gb, pattern)
+        if isinstance(found, Model):
+            return answer_yes(_remap_model(found, g, vmap), method)
+        certified = certified or found
     if certified:
         return Answer(True, method, None, certified_without_witness=True)
     return answer_no(method)
@@ -410,7 +453,7 @@ def solve_gem(g: Graph) -> Answer:
     return _solve_by_blocks(g, catalog.named_graph("gem"), "gem", _gem_block)
 
 
-def _gem_block(gb: Graph, gem: Graph) -> Answer:
+def _gem_block(gb: Graph, gem: Graph) -> Model | bool:
     found_x = None
     verts = list(range(gb.n))
     for size in range(0, 7):
@@ -421,15 +464,15 @@ def _gem_block(gb: Graph, gem: Graph) -> Answer:
         if found_x is not None:
             break
     if found_x is None:
-        return _structure_branch_yes(gb, gem, "gem")
+        return _structure_branch(gb, gem)
     trace = _contract_long_paths(gb, mask_of(found_x))
     try:
-        ans = solve_pt_free(trace.target, gem, 28)
+        found = _pt_free_model(trace.target, gem, 28)
     except SolverPreconditionError as exc:
         raise InvariantViolation("contraction left an induced P28") from exc
-    if ans.contains:
-        return answer_yes(lift_through_trace(ans.witness, trace), "gem")
-    return answer_no("gem")
+    if found is None:
+        return False
+    return lift_through_trace(found, trace)
 
 
 def _gem_structure_ok(gb: Graph, xs: int) -> bool:
@@ -481,16 +524,16 @@ def solve_full_house(g: Graph) -> Answer:
     )
 
 
-def _full_house_block(gb: Graph, fh: Graph) -> Answer:
+def _full_house_block(gb: Graph, fh: Graph) -> Model | bool:
     # (1) no K4 minor: nothing containing K4 can appear
     if clique_minor_test(gb, 4) is None:
-        return answer_no("fullhouse")
+        return False
     # (2) subdivisions of K4, K33 and the prism
     sub = _subdivision_structure(gb)
     if sub is not None:
         base_kind, branches, corner_map = sub
         if base_kind == "k4":
-            return answer_no("fullhouse")
+            return False
         if base_kind == "k33":
             chosen = next((br for br in branches if br[2]), None)
         else:  # prism: only subdivided triangle edges matter
@@ -499,18 +542,18 @@ def _full_house_block(gb: Graph, fh: Graph) -> Answer:
                 None,
             )
         if chosen is None:
-            return answer_no("fullhouse")
-        witness = _subdivision_witness(gb, fh, branches, chosen)
-        return answer_yes(witness, "fullhouse")
+            return False
+        return _subdivision_witness(gb, fh, branches, chosen)
     # (3) wheel + complete multipartite partition: the wheel part has at most
     # 5 vertices and an induced path meets a complete multipartite graph in
     # runs of at most 3 vertices, so an induced path has at most
     # 5 + 6 * 3 = 23 vertices and the block is P24-free
     if _has_wheel_multipartite_partition(gb):
         try:
-            return solve_pt_free(gb, fh, 24)
+            found = _pt_free_model(gb, fh, 24)
         except SolverPreconditionError as exc:
             raise InvariantViolation("the partition left an induced P24") from exc
+        return False if found is None else found
     # (4) cycle + false-twin independent set partition
     part = _cycle_twins_partition(gb)
     if part is not None:
@@ -520,11 +563,10 @@ def _full_house_block(gb: Graph, fh: Graph) -> Answer:
             or (hood == mask_of(cycle) and len(cycle) >= 5)
         )
         if not yes:
-            return answer_no("fullhouse")
-        witness = _cycle_twins_witness(gb, fh, cycle, twins, hood)
-        return answer_yes(witness, "fullhouse")
+            return False
+        return _cycle_twins_witness(gb, fh, cycle, twins, hood)
     # no property holds: the decomposition theorem forces containment
-    return _structure_branch_yes(gb, fh, "fullhouse")
+    return _structure_branch(gb, fh)
 
 
 def _subdivision_structure(gb: Graph):

@@ -35,6 +35,14 @@ def test_no_hole_pattern_in_a_ktree(k, n):
     assert not solve_house_bull(g, house, pc_of(house, "generalized_house")).contains
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_no_hole_flower_in_a_200_vertex_ktree(k):
+    g = ktree(random.Random(200 + k), 200, k)
+    for name in FLOWER_HOLES:
+        h = named_graph(name)
+        assert not solve_snt_single(g, h, pc_of(h, "flower")).contains, name
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize(
     "name, kind, solve",

@@ -2,8 +2,13 @@ import random
 
 import pytest
 
-from conftest import brute_clique_minor_exists, permuted, rand_graph
-from indminor.catalog import named_graph
+from conftest import (
+    brute_clique_minor_exists,
+    connected_subsets,
+    permuted,
+    rand_graph,
+)
+from indminor.catalog import classify, named_graph
 from indminor.graphs import Graph, GraphError, induced_subgraph, subdivide_edge
 from indminor.models import verify_model
 from indminor.oracle import (
@@ -12,6 +17,8 @@ from indminor.oracle import (
     induced_minor_exhaustive,
     induced_subgraph_search,
     iter_induced_minor_models,
+    iter_premodel_prefixes,
+    iter_premodels,
     rooted_clique_minor,
 )
 
@@ -192,3 +199,169 @@ class TestCliqueMinor:
             m = clique_minor_test(g, 4)
             if m is not None:
                 assert verify_model(m)
+
+
+# ---------------------------------------------------------------------------
+# the premodel engine against a set-based brute force
+
+
+def _twin_pairs(pattern: Graph, order, free) -> list[tuple[int, int]]:
+    """(earlier, later) pairs of ``order`` whose swap preserves the
+    pattern's edges and its free pairs."""
+    def kind(a, b):
+        return (pattern.has_edge(a, b), bool(free[a] >> b & 1))
+
+    return [
+        (w, u)
+        for i, u in enumerate(order)
+        for w in order[:i]
+        if all(
+            kind(w, z) == kind(u, z) for z in range(pattern.n) if z not in (w, u)
+        )
+    ]
+
+
+def _brute_premodels(host: Graph, pattern: Graph, order, free, cap: int):
+    """Every assignment of disjoint connected bags of at most ``cap``
+    vertices to ``order`` with exact adjacency outside the free pairs, cap-1
+    vertices without free partners on vertices of at least their degree, and
+    the later of two twins on the bag with the larger least vertex; by
+    backtracking over sets, bags tried by (least vertex, size, members)."""
+    bags = sorted(
+        map(frozenset, connected_subsets(host, cap)),
+        key=lambda s: (min(s), len(s), sorted(s)),
+    )
+    twins = _twin_pairs(pattern, order, free)
+    out = []
+
+    def touches(a, b):
+        return any(host.has_edge(x, y) for x in a for y in b)
+
+    def extend(i, placed):
+        if i == len(order):
+            out.append(dict(placed))
+            return
+        u = order[i]
+        taken = set().union(*placed.values()) if placed else set()
+        for bag in bags:
+            if bag & taken:
+                continue
+            if cap == 1 and not free[u]:
+                if host.degree(min(bag)) < pattern.degree(u):
+                    continue
+            if any(
+                not free[u] >> w & 1 and touches(bag, b) != pattern.has_edge(u, w)
+                for w, b in placed.items()
+            ):
+                continue
+            if any(v == u and min(bag) < min(placed[w]) for w, v in twins):
+                continue
+            placed[u] = bag
+            extend(i + 1, placed)
+            del placed[u]
+
+    extend(0, {})
+    return out
+
+
+def _as_dicts(host: Graph, order, runs) -> list[dict[int, frozenset[int]]]:
+    return [
+        {u: frozenset(x for x in range(host.n) if bags[u] >> x & 1) for u in order}
+        for bags in runs
+    ]
+
+
+def _key(placed: dict[int, frozenset[int]]) -> tuple:
+    return tuple(sorted((u, tuple(sorted(b))) for u, b in placed.items()))
+
+
+def _star_with_a_free_pair():
+    """K_{1,3} whose leaves 1 and 2 may or may not be adjacent: 1 and 2 stay
+    twins, the free pair keeps 3 out of their orbit."""
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    return star, [0, 1 << 2, 1 << 1, 0]
+
+
+def _engine_cases():
+    cases = []
+    for name in ("cycle_4", "k23", "k33", "crown"):
+        h = named_graph(name)
+        by_degree = sorted(range(h.n), key=lambda u: (-h.degree(u), u))
+        cases.append((h, by_degree, [0] * h.n))
+        cases.append((h, by_degree[::-1], [0] * h.n))
+    star, free = _star_with_a_free_pair()
+    cases.append((star, [1, 3, 0, 2], free))
+    house = named_graph("house")
+    pc = next(pc for pc in classify(house) if pc.kind == "generalized_house")
+    a, u, v, b, c = pc.roles
+    house_free = [0] * 5
+    house_free[u] = 1 << v | 1 << b
+    house_free[v] = house_free[b] = 1 << u
+    cases.append((house, [a, u, v, b, c], house_free))
+    return cases
+
+
+class TestPremodelEngine:
+    def test_reference_twins_respect_free_pairs(self):
+        star, free = _star_with_a_free_pair()
+        assert _twin_pairs(star, [1, 2, 3], free) == [(1, 2)]
+        assert _twin_pairs(named_graph("k33"), [0, 1, 2], [0] * 6) == [
+            (0, 1), (0, 2), (1, 2)
+        ]
+
+    def test_singletons_match_brute_force_in_order(self, atlas):
+        """Atlas hosts against twin-rich patterns and free pairs: the same
+        premodels as the brute force, in the same order."""
+        cases = _engine_cases()
+        rng = random.Random(53)
+        hosts = [g for g in atlas if g.n <= 5]
+        hosts += rng.sample([g for g in atlas if g.n > 5], 300)
+        total = 0
+        for g in hosts:
+            for h, order, free in cases:
+                if h.n > g.n:
+                    continue
+                runs = iter_premodels(g, h, order, [1] * h.n, free)
+                got = _as_dicts(g, order, runs)
+                want = _brute_premodels(g, h, order, free, 1)
+                assert got == want
+                total += len(got)
+        assert total > 1000
+
+    def test_connected_bags_match_brute_force(self, atlas):
+        rng = random.Random(43)
+        cases = [c for c in _engine_cases() if c[0].n <= 5]
+        for g in rng.sample([g for g in atlas if 4 <= g.n <= 6], 60):
+            for h, order, free in cases:
+                runs = iter_premodels(g, h, order, [2] * h.n, free)
+                got = _as_dicts(g, order, runs)
+                want = _brute_premodels(g, h, order, free, 2)
+                assert sorted(map(_key, got)) == sorted(map(_key, want))
+                assert len(got) == len(set(map(_key, got)))
+
+    def test_expanded_prefixes_give_the_premodel_sequence(self, atlas):
+        rng = random.Random(47)
+        cases = _engine_cases()
+        for g in rng.sample([g for g in atlas if g.n >= 5], 80):
+            for h, order, free in cases:
+                # all singletons, and larger bags before a cap-1 last position
+                for cap in (1, 2):
+                    caps = [cap] * h.n
+                    caps[order[-1]] = 1
+                    expanded = []
+                    for prefix in iter_premodel_prefixes(g, h, order, caps, free):
+                        cands = prefix[order[-1]]
+                        assert cands
+                        for x in range(g.n):
+                            if cands >> x & 1:
+                                bags = list(prefix)
+                                bags[order[-1]] = 1 << x
+                                expanded.append(tuple(bags))
+                    assert expanded == list(iter_premodels(g, h, order, caps, free))
+
+    def test_prefixes_need_a_cap_one_last_position(self):
+        h = named_graph("cycle_4")
+        with pytest.raises(ValueError):
+            iter_premodel_prefixes(h, h, [0, 1], [1, 2, 1, 1])
+        with pytest.raises(ValueError):
+            iter_premodel_prefixes(h, h, [], [1] * 4)

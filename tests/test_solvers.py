@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import pc_of, permuted, rand_graph
+from indminor import solvers
 from indminor.catalog import classify, named_graph
-from indminor.graphs import Graph, subdivide_edge
+from indminor.graphs import Graph, subdivide_edge, touching_component
 from indminor.models import verify_model
 from indminor.oracle import (
     induced_minor_exhaustive,
@@ -116,6 +117,35 @@ class TestSntSingle:
             named_graph("path_4"), named_graph("cycle_4"),
             pc_of(named_graph("cycle_4"), "flower"),
         ).contains
+
+    def test_agrees_with_the_oracle_on_every_small_flower(self, atlas, monkeypatch):
+        """Every flower on at most 6 vertices, including those placed last
+        at a non-neighbour of the centre and those with sepals, where a
+        candidate can lie in the room left for the centre's bag: the exact
+        completion call then runs and must reject some candidates."""
+        flowers = [
+            (h, pc) for h in atlas if h.n <= 6
+            for pc in classify(h) if pc.kind == "flower"
+        ]
+        outcomes = []
+
+        def counted(adj, m, needs):
+            comp = touching_component(adj, m, needs)
+            outcomes.append(bool(comp))
+            return comp
+
+        monkeypatch.setattr(solvers, "touching_component", counted)
+        rng = random.Random(59)
+        sizes = [5, 6, 7] * 4 + [8, 8, 10]
+        for n in sizes:
+            g = rand_graph(n, rng.uniform(0.25, 0.6), rng)
+            for h, pc in flowers:
+                a = solve_snt_single(g, h, pc)
+                assert a.contains == (induced_minor_exhaustive(g, h) is not None)
+                if a.contains:
+                    assert verify_model(a.witness)
+        assert len(flowers) == 84
+        assert False in outcomes and True in outcomes
 
 
 class TestHouseBull:
