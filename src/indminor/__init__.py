@@ -25,6 +25,7 @@ from .models import (
 )
 from .oracle import (
     SearchCapExceeded,
+    bounded_bag_search,
     clique_minor_test,
     induced_minor_exhaustive,
     induced_subgraph_search,
@@ -33,7 +34,6 @@ from .oracle import (
 )
 from .solvers import (
     SolverPreconditionError,
-    bounded_bag_search,
     solve_clique,
     solve_clique_plus_isolated,
     solve_complete_split,

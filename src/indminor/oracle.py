@@ -1,9 +1,11 @@
 """Exact search procedures: the exhaustive reference and the premodel engine.
 
 :func:`induced_minor_exhaustive` (through ``_iter_models``) is the
-reference that the tests hold every solver against.  It assigns each host
-vertex, in ascending order, either to one pattern bag or to "deleted",
-pruning on the way:
+reference that the tests hold every solver against; besides it, only
+:func:`rooted_clique_minor` runs ``_iter_models``, and no solver calls
+either, so the reference shares no search code with what it checks.  It
+assigns each host vertex, in ascending order, either to one pattern bag or
+to "deleted", pruning on the way:
 
 * a host edge between two bags whose pattern vertices are non-adjacent kills
   the branch immediately (exact-adjacency violation);
@@ -15,7 +17,9 @@ pruning on the way:
 Its first-found witnesses are deterministic because vertices are processed
 ascending and labels are tried in ascending order with "deleted" last.
 
-:func:`iter_premodels` is the engine under the polynomial solvers.  The
+:func:`iter_premodels` is the engine, and it runs every search of the
+production path; with every cap at least the host size
+(:func:`bounded_bag_search`) it is an exact induced-minor test.  The
 paper's algorithms guess a premodel of small bags, mostly single vertices,
 and complete the few fat bags by connectivity; the engine does the
 guessing.  It places pattern vertices one at a time in a given order, and
@@ -474,6 +478,28 @@ def induced_subgraph_search(
     return None
 
 
+def bounded_bag_search(
+    host: Graph, pattern: Graph, caps: Sequence[int]
+) -> Model | None:
+    """Exhaustive search over disjoint connected bags with per-vertex size
+    caps, exact adjacency forward-checked against placed bags.
+
+    The premodel engine with pattern vertices by descending degree: with
+    every cap 1 the first witness is the lexicographically smallest
+    singleton model along that order; larger bags are connected sets grown
+    from ascending roots, depth first.  Deterministic; complete when every
+    cap is at least ``host.n``.  The walk is iterative, so no host size
+    reaches Python's recursion limit.
+    """
+    hn = pattern.n
+    if hn > host.n:
+        return None
+    order = sorted(range(hn), key=lambda u: (-pattern.adj[u].bit_count(), u))
+    for bags in iter_premodels(host, pattern, order, caps):
+        return Model(pattern, host, tuple(set_of(m) for m in bags))
+    return None
+
+
 def rooted_clique_minor(
     host: Graph, roots: Sequence[Iterable[int]]
 ) -> Model | None:
@@ -585,11 +611,11 @@ def clique_minor_test(host: Graph, k: int) -> Model | None:
 
     k <= 2 is a direct check, k = 3 finds a cycle and splits it into three
     arcs, k = 4 runs the series-parallel reduction (stuck with minimum degree
-    >= 3 iff a K_4 minor exists) and takes the first model of the uncapped
-    exhaustive search on the stuck graph, and k >= 5 is
-    :func:`induced_minor_exhaustive`, which refuses hosts above
-    :data:`MAX_ORACLE_HOST`.  For a complete pattern, minor and induced-minor
-    models coincide.
+    >= 3 iff a K_4 minor exists) and takes the first model that
+    :func:`bounded_bag_search` with full caps finds on the stuck graph, and
+    k >= 5 is the same full-caps search on the host, refused with
+    :class:`SearchCapExceeded` above :data:`MAX_ORACLE_HOST` vertices.  For
+    a complete pattern, minor and induced-minor models coincide.
     """
     if k < 1:
         raise GraphError("k must be positive")
@@ -614,9 +640,13 @@ def clique_minor_test(host: Graph, k: int) -> Model | None:
         if reduced is None:
             return None
         stuck, preimages = reduced
-        inner = next(iter_induced_minor_models(stuck, complete_graph(4)), None)
+        inner = bounded_bag_search(stuck, complete_graph(4), [stuck.n] * 4)
         if inner is None:
             raise InvariantViolation("min degree >= 3 but no K_4 minor found")
         trace = ContractionTrace(host, stuck, preimages, allows_deletions=True)
         return lift_through_trace(inner, trace)
-    return induced_minor_exhaustive(host, complete_graph(k))
+    if host.n > MAX_ORACLE_HOST:
+        raise SearchCapExceeded(
+            f"host has {host.n} vertices, exhaustive cap is {MAX_ORACLE_HOST}"
+        )
+    return bounded_bag_search(host, complete_graph(k), [host.n] * k)

@@ -47,12 +47,11 @@ from .graphs import (
 from .models import Answer, Model, answer_no, answer_yes, lift_through_trace
 from .oracle import (
     MAX_ORACLE_HOST,
+    bounded_bag_search,
     clique_minor_test,
-    induced_minor_exhaustive,
     induced_subgraph_search,
     iter_premodel_prefixes,
     iter_premodels,
-    rooted_clique_minor,
 )
 
 
@@ -293,80 +292,31 @@ def solve_complete_split(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     """Decide containment for a clique (size <= 3) joined onto an
     independent set.
 
-    Independent-side premodels are injective pairwise non-adjacent
-    singletons, one per vertex set, since the engine's twin rule places the
-    interchangeable independent vertices in ascending order; for each, small
-    disjoint seed sets (one per clique vertex, each touching every
-    independent bag's neighborhood) root an exact clique-minor search in the
-    remaining host.
+    One engine walk: the independent vertices as pairwise non-adjacent
+    single host vertices, then the clique vertices as connected sets of any
+    size that touch every placed bag.  Singletons suffice on the independent
+    side because it has at most three neighbours: a minimal connected part
+    of its bag touching every clique bag is a subdivided star with at most
+    three legs, so the centre stays as the bag and each leg joins the
+    clique bag it reaches, which stays connected and meets no other
+    independent bag.
     """
     _require_kind(pc, "complete_split")
-    k, p = pc.k, pc.p
-    if k > 3:
+    if pc.k > 3:
         raise SolverPreconditionError(
             "complete split solver only covers clique side k <= 3"
         )
     if h.n > g.n:
         return answer_no("complete_split")
     clique_vs, indep_vs = pc.parts
-    n = g.n
-
-    for premodel in iter_premodels(g, h, indep_vs, [1] * h.n):
-        prem = [premodel[v].bit_length() - 1 for v in indep_vs]
-        x_mask = mask_of(prem)
-        rest_vertices = [x for x in range(n) if not x_mask >> x & 1]
-        sub, vmap = induced_subgraph(g, rest_vertices)
-        inv = {old: new for new, old in enumerate(vmap)}
-        nbrs = [set(bits(g.adj[x])) - set(prem) for x in prem]
-        if any(not s for s in nbrs):
-            continue
-        pool = sorted(set().union(*nbrs))
-        seeds = [
-            s
-            for size in range(1, p + 1)
-            for s in combinations(pool, size)
-            if all(any(x in nb for x in s) for nb in nbrs)
-        ]
-        for zs in combinations(seeds, k):
-            flat = [x for z in zs for x in z]
-            if len(set(flat)) != len(flat):
-                continue
-            roots = [[inv[x] for x in z] for z in zs]
-            inner = rooted_clique_minor(sub, roots)
-            if inner is None:
-                continue
-            bags: list[frozenset[int]] = [frozenset()] * h.n
-            for i, hv in enumerate(clique_vs):
-                bags[hv] = frozenset(vmap[y] for y in inner.bags[i])
-            for j, hv in enumerate(indep_vs):
-                bags[hv] = frozenset({prem[j]})
-            return answer_yes(Model(h, g, tuple(bags)), "complete_split")
+    caps = [1 if v in indep_vs else g.n for v in range(h.n)]
+    for bags in iter_premodels(g, h, [*indep_vs, *clique_vs], caps):
+        return answer_yes(Model(h, g, tuple(map(set_of, bags))), "complete_split")
     return answer_no("complete_split")
 
 
 # ---------------------------------------------------------------------------
-# bounded-bag backtracking and hosts without long induced paths
-
-
-def bounded_bag_search(
-    host: Graph, pattern: Graph, caps: Sequence[int]
-) -> Model | None:
-    """Exhaustive search over disjoint connected bags with per-vertex size
-    caps, exact adjacency forward-checked against placed bags.
-
-    The premodel engine with pattern vertices by descending degree: with
-    every cap 1 the first witness is the lexicographically smallest
-    singleton model along that order; larger bags are connected sets grown
-    from ascending roots, depth first.  Deterministic; complete when every
-    cap is at least ``host.n``.
-    """
-    hn = pattern.n
-    if hn > host.n:
-        return None
-    order = sorted(range(hn), key=lambda u: (-pattern.adj[u].bit_count(), u))
-    for bags in iter_premodels(host, pattern, order, caps):
-        return Model(pattern, host, tuple(set_of(m) for m in bags))
-    return None
+# hosts without long induced paths
 
 
 def solve_pt_free(g: Graph, h: Graph, t: int) -> Answer:
@@ -402,11 +352,13 @@ def _pt_free_model(g: Graph, h: Graph, t: int) -> Model | None:
 
 
 def _structure_branch(gb: Graph, pattern: Graph) -> Model | bool:
-    """A yes concluded from a decomposition theorem: a witness from the
-    exhaustive search under the oracle cap, else from bags of at most 3
-    vertices, else ``True`` (certified without one)."""
+    """A yes concluded from a decomposition theorem: on a block of at most
+    :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices, the witness of the
+    bounded-bag search with full caps, which is exact; on a larger block,
+    one with bags of at most 3 vertices, else ``True`` (certified without
+    one)."""
     if gb.n <= MAX_ORACLE_HOST:
-        found = induced_minor_exhaustive(gb, pattern)
+        found = bounded_bag_search(gb, pattern, [gb.n] * pattern.n)
         if found is None:
             raise InvariantViolation("the structure theorem promised a model")
         return found
@@ -650,11 +602,13 @@ def _subdivision_witness(gb: Graph, fh: Graph, branches, chosen) -> Model:
 
 
 def _quotient_witness(g: Graph, h: Graph, preimages: list, promise: str) -> Model:
-    """Contract ``preimages`` (at most 7 sets), search the quotient exhaustively
-    and lift; no model there breaks ``promise``, an invariant."""
+    """Contract ``preimages`` (at most 7 sets), search the quotient with the
+    full-caps bounded-bag search, which is exact, and lift; no model there
+    breaks ``promise``, an invariant."""
     preimages.sort(key=min)
     trace = quotient_by_preimages(g, preimages)
-    core_model = induced_minor_exhaustive(trace.target, h)
+    q = trace.target
+    core_model = bounded_bag_search(q, h, [q.n] * h.n)
     if core_model is None:
         raise InvariantViolation(promise)
     return lift_through_trace(core_model, trace)

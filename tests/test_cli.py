@@ -9,11 +9,17 @@ from pathlib import Path
 import pytest
 
 import indminor
-from conftest import SWEEP_PATTERNS, induced_p8_host
-from indminor import cli, graphs, solvers
+from conftest import SWEEP_PATTERNS, induced_p8_host, rand_graph
+from indminor import cli, graphs, oracle, solvers
 from indminor.catalog import classify, named_graph
 from indminor.cli import ROUTES, UnsupportedInstance, dispatch, run
-from indminor.graphs import Graph, InvariantViolation, to_edgelist, to_graph6
+from indminor.graphs import (
+    Graph,
+    InvariantViolation,
+    subdivide_edge,
+    to_edgelist,
+    to_graph6,
+)
 from indminor.models import ModelError, verify_model, witness_from_dict
 from indminor.oracle import MAX_ORACLE_HOST, induced_minor_exhaustive
 
@@ -104,6 +110,24 @@ class TestDispatch:
             assert a.method == "ptfree"
             assert a.contains == (induced_minor_exhaustive(g, h) is not None)
             assert a.witness is None or verify_model(a.witness)
+
+    def test_no_route_runs_the_exhaustive_reference(self, atlas, monkeypatch):
+        # the reference stays independent of what the tests hold against it
+        def reached(*args, **kwargs):
+            raise AssertionError("a route ran oracle._iter_models")
+
+        monkeypatch.setattr(oracle, "_iter_models", reached)
+        rng = random.Random(17)
+        hosts = [g for g in atlas if g.n <= 6]
+        hosts += [rand_graph(n, rng.uniform(0.35, 0.65), rng) for n in (10, 11, 12)]
+        # full-house properties (2) and (4) contract and search a quotient
+        hosts += [
+            subdivide_edge(named_graph("prism"), (0, 1)),
+            subdivide_edge(named_graph("k33"), (0, 3)),
+        ]
+        for g in hosts:
+            for name in SWEEP_PATTERNS:
+                dispatch(g, named_graph(name))
 
 
 class TestRoutes:

@@ -5,6 +5,7 @@ k-trees are chordal, and chordal graphs are closed under vertex deletion and
 edge contraction, so a pattern with an induced cycle of length at least 4
 is never an induced minor of one.  A planted model is a "yes" by
 construction; its witness is checked by the set-based reference checker.
+A k-tree with k >= 3 has a K4 subgraph, so it holds a K4 model at any size.
 """
 
 import random
@@ -13,7 +14,9 @@ import pytest
 
 from conftest import is_chordal, ktree, naive_verify_model, pc_of, planted_host
 from indminor.catalog import named_graph
-from indminor.solvers import solve_house_bull, solve_snt_single
+from indminor.models import verify_model
+from indminor.oracle import clique_minor_test
+from indminor.solvers import solve_clique, solve_house_bull, solve_snt_single
 
 FLOWER_HOLES = ["cycle_4", "cycle_5", "cycle_6"]
 
@@ -60,3 +63,19 @@ def test_planted_model_is_found(name, kind, solve, seed):
     assert answer.contains and answer.witness is not None
     assert answer.witness.host == g
     assert naive_verify_model(h, g, answer.witness.bags)
+
+
+def test_k4_in_a_1100_vertex_3tree():
+    # the 3-tree is its own stuck graph and has more vertices than Python's
+    # recursion limit, so a search that recursed per vertex could not
+    # finish; the search is still exponential, and on some other seeds it
+    # takes seconds (ROADMAP item 5)
+    g = ktree(random.Random(1), 1100, 3)
+    model = clique_minor_test(g, 4)
+    assert model is not None
+    assert naive_verify_model(model.pattern, g, model.bags)
+
+
+def test_solve_clique_k4_in_a_200_vertex_3tree():
+    answer = solve_clique(ktree(random.Random(203), 200, 3), 4)
+    assert answer.contains and verify_model(answer.witness)

@@ -9,7 +9,13 @@ from conftest import (
     rand_graph,
 )
 from indminor.catalog import classify, named_graph
-from indminor.graphs import Graph, GraphError, induced_subgraph, subdivide_edge
+from indminor.graphs import (
+    Graph,
+    GraphError,
+    complete_graph,
+    induced_subgraph,
+    subdivide_edge,
+)
 from indminor.models import verify_model
 from indminor.oracle import (
     SearchCapExceeded,
@@ -185,6 +191,16 @@ class TestCliqueMinor:
     def test_k5_cap(self):
         with pytest.raises(SearchCapExceeded):
             clique_minor_test(named_graph("path_20"), 5)
+
+    def test_k5_and_k6_agree_with_the_reference(self):
+        rng = random.Random(6)
+        for _ in range(60):
+            g = rand_graph(rng.randint(5, 10), rng.uniform(0.5, 0.9), rng)
+            for k in (5, 6):
+                m = clique_minor_test(g, k)
+                ref = induced_minor_exhaustive(g, complete_graph(k))
+                assert (m is None) == (ref is None)
+                assert m is None or verify_model(m)
 
     def test_k4_agrees_with_brute_force_sample(self, atlas):
         rng = random.Random(37)

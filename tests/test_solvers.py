@@ -201,8 +201,9 @@ class TestCompleteSplit:
         assert induced_minor_exhaustive(named_graph("cycle_6"), named_graph("crown")) is None
 
     def test_star_with_interlocked_neighborhoods(self):
-        # the clique bag {3,4} serves three leaves whose neighborhoods
-        # overlap so that no seed set hits each exactly once
+        # the only model puts the leaves on the pairwise non-adjacent host
+        # vertices 0, 1 and 2 and the centre on the pair {3, 4}: neither of
+        # the two alone touches all three leaves
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         host = Graph.from_edges(5, [(3, 4), (3, 0), (4, 1), (3, 2), (4, 2)])
         a = solve_complete_split(host, star, pc_of(star, "complete_split"))
@@ -219,6 +220,28 @@ class TestCompleteSplit:
         assert a.contains == (
             induced_minor_exhaustive(host, named_graph("crown")) is not None
         )
+
+    def test_agrees_with_the_oracle_on_every_small_split(self):
+        # every clique of at most 3 joined onto at most 3 independent
+        # vertices; dispatch sends only K2,3 plus an edge, k5_minus and K3,3
+        # plus a triangle to this solver, and the others to the path,
+        # clique and flower rows above it
+        rng = random.Random(5)
+        hosts = [
+            rand_graph(rng.randint(4, 9), rng.uniform(0.25, 0.75), rng)
+            for _ in range(60)
+        ]
+        for k in (1, 2, 3):
+            for p in (1, 2, 3):
+                h = Graph.from_edges(
+                    k + p, [(a, b) for a in range(k) for b in range(a + 1, k + p)]
+                )
+                pc = pc_of(h, "complete_split")
+                assert (pc.k, pc.p) == (k, p)
+                for g in hosts:
+                    a = solve_complete_split(g, h, pc)
+                    assert a.contains == (induced_minor_exhaustive(g, h) is not None)
+                    assert a.witness is None or verify_model(a.witness)
 
     def test_large_clique_side_refused(self):
         s42 = Graph.from_edges(
