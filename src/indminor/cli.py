@@ -1,16 +1,14 @@
 """Command-line front end: parse graphs, classify the pattern, dispatch.
 
-One table, :data:`ROUTES`, orders every route.  :func:`dispatch` walks it
-once, top to bottom, in auto mode, ``--algorithm NAME`` forces the row
-named ``NAME`` and the ``--algorithm`` choices are the table's names.  The
-last row is the one exact fallback, the bounded-bag search: it decides every
-host of at most :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices and every
-larger host without an induced path on :data:`T_PROBE` vertices.
+One table, :data:`ROUTES`, orders every route, and :func:`dispatch` walks
+it once, top to bottom.  The last row is the one exact fallback, the
+bounded-bag search: it decides every host of at most
+:data:`~indminor.oracle.MAX_ORACLE_HOST` vertices and every larger host
+without an induced path on :data:`T_PROBE` vertices.
 
-Exit codes: 0 = decided (JSON on stdout), 1 = malformed input, a forced
-route whose precondition fails, or an internal error (a message on stderr),
-2 = unsupported instance (no family route applies, the host has more than
-12 vertices and an induced P8).
+Exit codes: 0 = decided (JSON on stdout), 1 = malformed input or an
+internal error (a message on stderr), 2 = unsupported instance (no family
+route applies, the host has more than 12 vertices and an induced P8).
 """
 
 from __future__ import annotations
@@ -61,17 +59,9 @@ def _pt_free_route(g: Graph, h: Graph) -> Answer | None:
         return None
 
 
-def _refusal(g: Graph) -> str:
-    return (
-        f"the host has more than {MAX_ORACLE_HOST} vertices ({g.n}) and an "
-        f"induced P{T_PROBE}"
-    )
-
-
 # The only ordering of routes: dispatch walks the rows top to bottom.  Each is
 # (classify kinds served, or () for a row that applies to every pattern;
-#  --algorithm name, or None;
-#  auto-mode guard(g, pc), or None when the row always applies;
+#  guard(g, pc), or None when the row always applies;
 #  solver(g, h, pc), which answers or returns None to pass to the next row).
 # ``pc`` is the PatternClass of ``classify(h)`` whose kind picked the row
 # (None for a row with no kinds); a family solver reads every role from it
@@ -80,75 +70,51 @@ def _refusal(g: Graph) -> str:
 # Solvers are looked up by name at call time, so rebinding a module
 # attribute (as the bench tracer does) reaches every route.
 ROUTES = (
-    (("disjoint_paths",), None, None,
-     lambda g, h, pc: solve_disjoint_paths(g, h, pc)),
-    (("clique",), None, lambda g, pc: pc.k <= 4 or g.n <= MAX_ORACLE_HOST,
+    (("disjoint_paths",), None, lambda g, h, pc: solve_disjoint_paths(g, h, pc)),
+    (("clique",), lambda g, pc: pc.k <= 4 or g.n <= MAX_ORACLE_HOST,
      lambda g, h, pc: solve_clique(g, pc.k)),
-    (("clique_plus_isolated",), None,
-     lambda g, pc: pc.k <= 4 or g.n <= MAX_ORACLE_HOST,
+    (("clique_plus_isolated",), lambda g, pc: pc.k <= 4 or g.n <= MAX_ORACLE_HOST,
      lambda g, h, pc: solve_clique_plus_isolated(g, h, pc)),
-    (("flower",), "snt", None, lambda g, h, pc: solve_snt_single(g, h, pc)),
-    (("generalized_house", "generalized_bull"), "house-bull", None,
+    (("flower",), None, lambda g, h, pc: solve_snt_single(g, h, pc)),
+    (("generalized_house", "generalized_bull"), None,
      lambda g, h, pc: solve_house_bull(g, h, pc)),
-    (("complete_split",), "split", lambda g, pc: pc.k <= 3,
+    (("complete_split",), lambda g, pc: pc.k <= 3,
      lambda g, h, pc: solve_complete_split(g, h, pc)),
-    (("gem",), "gem", None, lambda g, h, pc: solve_gem(g)),
-    (("full_house",), "fullhouse", None, lambda g, h, pc: solve_full_house(g)),
-    ((), "ptfree", None, lambda g, h, pc: _pt_free_route(g, h)),
+    (("gem",), None, lambda g, h, pc: solve_gem(g)),
+    (("full_house",), None, lambda g, h, pc: solve_full_house(g)),
+    ((), None, lambda g, h, pc: _pt_free_route(g, h)),
 )
-_BY_NAME = {row[1]: row for row in ROUTES if row[1]}
 
 
-def dispatch(g: Graph, h: Graph, algorithm: str = "auto") -> Answer:
+def dispatch(g: Graph, h: Graph) -> Answer:
     """Decide by the first row of :data:`ROUTES` that answers.
 
-    In auto mode the rows are walked once, top to bottom.  A row applies
-    when one of its kinds is among ``classify(h)``, or it has no kinds, and
-    its guard holds; its solver answers or returns ``None`` to pass.  The
-    family rows come first; the last row is the one exact fallback, the
-    bounded-bag search, which passes only when the host has more than
+    The rows are walked once, top to bottom.  A row applies when one of its
+    kinds is among ``classify(h)``, or it has no kinds, and its guard holds;
+    its solver answers or returns ``None`` to pass.  The family rows come
+    first; the last row is the one exact fallback, the bounded-bag search,
+    which passes only when the host has more than
     :data:`~indminor.oracle.MAX_ORACLE_HOST` vertices and an induced path on
     :data:`T_PROBE` vertices; then no row has answered, and
-    :class:`UnsupportedInstance` is raised (``imc`` exit 2).  Any other
-    ``algorithm`` runs the row of that name without its guard: a pattern
-    outside the row's families, or under ``ptfree`` a host the fallback
-    passes on, raises :class:`~indminor.solvers.SolverPreconditionError`
-    (``imc`` exit 1).  In both modes a pattern with no vertices raises
-    :class:`~indminor.graphs.GraphError`.
+    :class:`UnsupportedInstance` is raised (``imc`` exit 2).  A pattern with
+    no vertices raises :class:`~indminor.graphs.GraphError`.
     """
     if h.n < 1:
         raise GraphError("patterns need at least one vertex")
-    if algorithm != "auto":
-        return _forced(g, h, algorithm)
     if h.n > g.n:
         return Answer(False, "degenerate")
     found = {pc.kind: pc for pc in classify(h)}
-    for kinds, _name, guard, solve in ROUTES:
+    for kinds, guard, solve in ROUTES:
         pc = next((found[kind] for kind in kinds if kind in found), None)
         if (kinds and pc is None) or (guard is not None and not guard(g, pc)):
             continue
         answer = solve(g, h, pc)
         if answer is not None:
             return answer
-    raise UnsupportedInstance(f"no polynomial route applies: {_refusal(g)}")
-
-
-def _forced(g: Graph, h: Graph, alg: str) -> Answer:
-    """Run the named route without its auto-mode guard."""
-    if alg not in _BY_NAME:
-        raise SolverPreconditionError(f"unknown algorithm {alg!r}")
-    kinds, _name, _guard, solve = _BY_NAME[alg]
-    pc = None
-    if kinds:
-        pc = next((pc for pc in classify(h) if pc.kind in kinds), None)
-        if pc is None:
-            raise SolverPreconditionError(
-                f"--algorithm {alg} needs a pattern of kind {' or '.join(kinds)}"
-            )
-    answer = solve(g, h, pc)
-    if answer is None:
-        raise SolverPreconditionError(f"--algorithm {alg}: {_refusal(g)}")
-    return answer
+    raise UnsupportedInstance(
+        f"no polynomial route applies: the host has more than {MAX_ORACLE_HOST} "
+        f"vertices ({g.n}) and an induced P{T_PROBE}"
+    )
 
 
 def _load_graph(path: str, fmt: str | None) -> Graph:
@@ -179,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["graph6", "edgelist"],
         help="input format (default: by extension, .g6 means graph6)",
     )
-    ap.add_argument("--algorithm", default="auto", choices=["auto", *_BY_NAME])
     return ap
 
 
@@ -200,7 +165,7 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        answer = dispatch(host, pattern, args.algorithm)
+        answer = dispatch(host, pattern)
     except UnsupportedInstance as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2

@@ -421,41 +421,36 @@ def is_p4_free(g: Graph) -> bool:
     return True
 
 
-def is_complete_multipartite(g: Graph) -> list[frozenset[int]] | None:
-    """The parts of ``g`` when non-adjacency (over distinct vertices) is
-    transitive, i.e. when ``g`` is complete multipartite; ``None`` otherwise.
+def is_complete_multipartite(g: Graph, m: int) -> list[frozenset[int]] | None:
+    """The parts of ``G[m]`` when non-adjacency (over distinct vertices) is
+    transitive, i.e. when ``G[m]`` is complete multipartite; ``None``
+    otherwise.
 
-    Parts are ordered by smallest member.  The empty graph yields no parts.
+    Parts are ordered by smallest member.  The empty mask yields no parts.
     """
-    full = g.full_mask()
-    part_of = [-1] * g.n
     parts: list[int] = []
-    for v in range(g.n):
-        if part_of[v] != -1:
-            continue
-        part = ~g.adj[v] & full & ~(1 << v) | (1 << v)
+    left = m
+    while left:
+        part = m & ~g.adj[(left & -left).bit_length() - 1]
         for u in bits(part):
-            their = ~g.adj[u] & full & ~(1 << u) | (1 << u)
-            if their != part:
+            if m & ~g.adj[u] != part:
                 return None
-            part_of[u] = len(parts)
         parts.append(part)
+        left &= ~part
     return [set_of(p) for p in parts]
 
 
-def is_wheel(g: Graph) -> bool:
-    """True iff ``g`` is a cycle plus one vertex adjacent to >= 1 cycle vertex.
+def is_wheel(g: Graph, m: int) -> bool:
+    """True iff ``G[m]`` is a cycle plus one vertex adjacent to >= 1 cycle
+    vertex.
 
     The hub need only touch the cycle once, so e.g. a cycle with a pendant
     vertex qualifies.
     """
-    if g.n < 4:
+    if m.bit_count() < 4:
         return False
-    for hub in range(g.n):
-        if g.adj[hub] == 0:
-            continue
-        rim = g.full_mask() & ~(1 << hub)
-        if cycle_order(g, rim) is not None:
+    for hub in bits(m):
+        if g.adj[hub] & m and cycle_order(g, m & ~(1 << hub)) is not None:
             return True
     return False
 

@@ -560,7 +560,7 @@ def _find_cycle(g: Graph) -> list[int] | None:
     return None
 
 
-def _series_parallel_reduce(
+def series_parallel_reduce(
     g: Graph,
 ) -> tuple[Graph, tuple[frozenset[int], ...]] | None:
     """Exhaustively delete degree-<=1 vertices and bypass degree-2 vertices.
@@ -636,7 +636,7 @@ def clique_minor_test(host: Graph, k: int) -> Model | None:
         bags = [{cyc[0]}, {cyc[1]}, set(cyc[2:])]
         return Model.from_bags(complete_graph(3), host, bags)
     if k == 4:
-        reduced = _series_parallel_reduce(host)
+        reduced = series_parallel_reduce(host)
         if reduced is None:
             return None
         stuck, preimages = reduced

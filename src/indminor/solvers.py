@@ -52,6 +52,7 @@ from .oracle import (
     induced_subgraph_search,
     iter_premodel_prefixes,
     iter_premodels,
+    series_parallel_reduce,
 )
 
 
@@ -478,12 +479,12 @@ def solve_full_house(g: Graph) -> Answer:
 
 def _full_house_block(gb: Graph, fh: Graph) -> Model | bool:
     # (1) no K4 minor: nothing containing K4 can appear
-    if clique_minor_test(gb, 4) is None:
+    if series_parallel_reduce(gb) is None:
         return False
     # (2) subdivisions of K4, K33 and the prism
     sub = _subdivision_structure(gb)
     if sub is not None:
-        base_kind, branches, corner_map = sub
+        base_kind, branches = sub
         if base_kind == "k4":
             return False
         if base_kind == "k33":
@@ -524,7 +525,7 @@ def _full_house_block(gb: Graph, fh: Graph) -> Model | bool:
 def _subdivision_structure(gb: Graph):
     """Decompose a subdivided cubic base graph: branches between corners.
 
-    Returns ``(kind, branches, corner_map)`` where each branch is
+    Returns ``(kind, branches)`` where each branch is
     ``(corner1, corner2, interior tuple)``, or ``None`` when the block is
     not a subdivision of K4, K33 or the prism.
     """
@@ -562,7 +563,7 @@ def _subdivision_structure(gb: Graph):
     )
     for kind, named in (("k4", "k4"), ("k33", "k33"), ("prism", "prism")):
         if catalog.isomorphic(base, catalog.named_graph(named)):
-            return kind, branches, index
+            return kind, branches
     return None
 
 
@@ -615,18 +616,11 @@ def _quotient_witness(g: Graph, h: Graph, preimages: list, promise: str) -> Mode
 
 
 def _has_wheel_multipartite_partition(gb: Graph) -> bool:
-    if gb.n < 4:
-        return False
+    full = gb.full_mask()
     for size in (4, 5):
-        if size > gb.n:
-            continue
         for ws in combinations(range(gb.n), size):
-            wheel_part, _ = induced_subgraph(gb, ws)
-            if not is_wheel(wheel_part):
-                continue
-            rest = sorted(set(range(gb.n)) - set(ws))
-            other, _ = induced_subgraph(gb, rest)
-            if is_complete_multipartite(other) is not None:
+            m = mask_of(ws)
+            if is_wheel(gb, m) and is_complete_multipartite(gb, full & ~m) is not None:
                 return True
     return False
 
@@ -644,7 +638,9 @@ def _cycle_twins_partition(gb: Graph):
         classes.setdefault(gb.adj[v], []).append(v)
     for hood in sorted(classes):
         members = classes[hood]
-        for keep in range(1, len(members) + 1):
+        # at most two members lie on the cycle: three false twins there would
+        # give each of their two shared cycle neighbours three cycle neighbours
+        for keep in range(max(1, len(members) - 2), len(members) + 1):
             for twins in combinations(members, keep):
                 cyc_mask = gb.full_mask() & ~mask_of(twins)
                 order = cycle_order(gb, cyc_mask)

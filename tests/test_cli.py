@@ -142,26 +142,30 @@ class TestRoutes:
             assert all(len(s) == 1 for s in serving)
             assert [s[0] for s in serving] == sorted(s[0] for s in serving)
 
-    def test_algorithm_choices_are_the_table_names(self):
-        action = next(
-            a for a in cli._build_parser()._actions if a.dest == "algorithm"
-        )
-        assert action.choices == ["auto"] + [name for _, name, *_ in ROUTES if name]
-
     @pytest.mark.parametrize(
-        "name, pattern",
+        "kind, pattern",
         [
-            ("snt", "cycle_4"),
-            ("house-bull", "house"),
-            ("split", "crown"),
+            ("flower", "cycle_4"),
+            ("generalized_house", "house"),
+            ("complete_split", "crown"),
             ("gem", "gem"),
-            ("fullhouse", "full_house"),
-            ("ptfree", "w4"),
+            ("full_house", "full_house"),
+            (None, "w4"),
+        ],
+        ids=[
+            "snt-cycle_4", "house-bull-house", "split-crown", "gem-gem",
+            "fullhouse-full_house", "ptfree-w4",
         ],
     )
-    def test_forced_route_decides_its_family(self, name, pattern):
+    def test_forced_route_decides_its_family(self, kind, pattern):
+        # the row of ``kind`` (None: the fallback) run directly, without its
+        # guard and without the rows above it
         g, h = named_graph("cycle_6"), named_graph(pattern)
-        a = dispatch(g, h, name)
+        _kinds, _guard, solve = next(
+            row for row in ROUTES if (kind in row[0] if kind else not row[0])
+        )
+        pc = next((pc for pc in classify(h) if pc.kind == kind), None)
+        a = solve(g, h, pc)
         assert a.contains == (induced_minor_exhaustive(g, h) is not None)
         assert a.witness is None or verify_model(a.witness)
 
@@ -178,6 +182,8 @@ class TestRoutes:
             if not hasattr(importlib.import_module(f"indminor.{module}"), name)
         ]
         assert not missing
+        # spans.py also counts Graph constructions through this hook
+        assert hasattr(graphs.Graph, "__post_init__")
 
 
 class TestRun:
@@ -254,22 +260,17 @@ class TestRun:
             capture_output=True, text=True, timeout=60,
             env=dict(os.environ, PYTHONPATH=path),
         )
-        assert proc.returncode == 0 and "--algorithm" in proc.stdout
+        assert proc.returncode == 0 and "--graph" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "algorithm, host, code",
-        [
-            ("auto", "cycle_12", 0),
-            ("auto", "cycle_13", 2),
-            ("ptfree", "cycle_12", 0),
-            ("ptfree", "cycle_13", 1),
-        ],
+        "host, code",
+        [("cycle_12", 0), ("cycle_13", 2)],
+        ids=["auto-cycle_12-0", "auto-cycle_13-2"],
     )
-    def test_w4_at_the_host_size_cap(self, files, capsys, algorithm, host, code):
+    def test_w4_at_the_host_size_cap(self, files, capsys, host, code):
         gpath = files("g.g6", to_graph6(named_graph(host)))
-        args = ["--pattern", "w4", "--graph", gpath, "--algorithm", algorithm]
-        assert run(args) == code
+        assert run(["--pattern", "w4", "--graph", gpath]) == code
         out = capsys.readouterr()
         if code == 0:
             payload = json.loads(out.out)
@@ -278,36 +279,18 @@ class TestRun:
             assert out.out == ""
             assert "more than 12 vertices (13) and an induced P8" in out.err
 
-    def test_algorithm_oracle_is_an_invalid_choice(self, files, capsys):
-        action = next(
-            a for a in cli._build_parser()._actions if a.dest == "algorithm"
-        )
-        assert action.choices == [
-            "auto", "snt", "house-bull", "split", "gem", "fullhouse", "ptfree",
-        ]
-        gpath = files("g.g6", to_graph6(named_graph("cycle_6")))
-        code = run(["--pattern", "house", "--graph", gpath, "--algorithm", "oracle"])
-        assert code == 1
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_forced_mismatch_exit_1(self, files, capsys):
+    def test_algorithm_flag_is_gone_exit_1(self, files, capsys):
         gpath = files("g.g6", to_graph6(named_graph("cycle_6")))
         assert run(["--pattern", "gem", "--graph", gpath, "--algorithm", "snt"]) == 1
+        assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("name", ["auto", "ptfree"])
-    def test_empty_pattern_exit_1_in_every_mode(self, files, capsys, name):
+    @pytest.mark.parametrize("mode", ["auto"])
+    def test_empty_pattern_exit_1_in_every_mode(self, files, capsys, mode):
         ppath = files("e0.txt", "0 0\n")
         gpath = files("p3.txt", "3 2\n0 1\n1 2\n")
-        code = run(["--pattern-file", ppath, "--graph", gpath, "--algorithm", name])
-        assert code == 1
+        assert run(["--pattern-file", ppath, "--graph", gpath]) == 1
         out = capsys.readouterr()
         assert out.out == "" and "at least one vertex" in out.err
-
-    @pytest.mark.parametrize("name", ["gem", "fullhouse"])
-    def test_forced_decomposition_route_on_house_exit_1(self, files, capsys, name):
-        gpath = files("g.g6", to_graph6(named_graph("gem")))
-        assert run(["--pattern", "house", "--graph", gpath, "--algorithm", name]) == 1
-        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "error",

@@ -313,32 +313,51 @@ class TestCographs:
 
 class TestMultipartite:
     def test_c4(self):
-        assert is_complete_multipartite(named_graph("cycle_4")) == [
+        g = named_graph("cycle_4")
+        assert is_complete_multipartite(g, g.full_mask()) == [
             frozenset({0, 2}),
             frozenset({1, 3}),
         ]
 
     def test_k5(self):
-        parts = is_complete_multipartite(named_graph("complete_5"))
+        g = named_graph("complete_5")
+        parts = is_complete_multipartite(g, g.full_mask())
         assert parts == [frozenset({i}) for i in range(5)]
 
     def test_p4(self):
-        assert is_complete_multipartite(named_graph("path_4")) is None
+        g = named_graph("path_4")
+        assert is_complete_multipartite(g, g.full_mask()) is None
 
 
 class TestWheel:
     def test_w4(self):
-        assert is_wheel(named_graph("w4"))
+        g = named_graph("w4")
+        assert is_wheel(g, g.full_mask())
 
     def test_cycle_with_pendant(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-        assert is_wheel(g)
+        assert is_wheel(g, g.full_mask())
 
     def test_k4(self):
-        assert is_wheel(named_graph("complete_4"))
+        g = named_graph("complete_4")
+        assert is_wheel(g, g.full_mask())
 
     def test_plain_cycle_is_not(self):
-        assert not is_wheel(named_graph("cycle_5"))
+        g = named_graph("cycle_5")
+        assert not is_wheel(g, g.full_mask())
+
+
+def test_mask_forms_match_the_induced_subgraph(atlas):
+    for g in atlas:
+        if g.n > 6:
+            continue
+        for m in range(1 << g.n):
+            sub, vmap = induced_subgraph(g, set_of(m))
+            assert is_wheel(g, m) == is_wheel(sub, sub.full_mask())
+            parts = is_complete_multipartite(sub, sub.full_mask())
+            if parts is not None:
+                parts = [frozenset(vmap[x] for x in p) for p in parts]
+            assert is_complete_multipartite(g, m) == parts
 
 
 class TestShortestPathAvoiding:

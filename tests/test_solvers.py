@@ -410,6 +410,34 @@ class TestFullHouse:
             assert a.contains == (c == 5)
             assert a.contains == (induced_minor_exhaustive(g, fh) is not None)
 
+    def test_no_k4_minor_is_the_series_parallel_reduction(self, atlas, monkeypatch):
+        # property (1) needs no K4 model, so the clique test never runs
+        def reached(*args):
+            raise AssertionError("full house ran clique_minor_test")
+
+        monkeypatch.setattr(solvers, "clique_minor_test", reached)
+        fh = named_graph("full_house")
+        prism, k33 = named_graph("prism"), named_graph("k33")
+        hosts = [g for g in atlas if g.n <= 6]
+        hosts += [prism, subdivide_edge(prism, (0, 1))]
+        hosts += [k33, subdivide_edge(k33, (0, 3))]
+        for g in hosts:
+            a = solve_full_house(g)
+            assert a.contains == (induced_minor_exhaustive(g, fh) is not None)
+
+    def test_cycle_twins_keep_at_most_two_twins_on_the_cycle(self, monkeypatch):
+        # C8 plus 12 false twins on {0, 2, 4}: returning more than two of
+        # them to the cycle side cannot give an induced cycle
+        calls = []
+        original = solvers.cycle_order
+        monkeypatch.setattr(
+            solvers, "cycle_order", lambda g, m: calls.append(m) or original(g, m)
+        )
+        edges = [(i, (i + 1) % 8) for i in range(8)]
+        edges += [(8 + t, x) for t in range(12) for x in (0, 2, 4)]
+        assert solvers._cycle_twins_partition(Graph.from_edges(20, edges)) is not None
+        assert len(calls) < 100
+
 
 class TestCliqueSolvers:
     def test_clique_route(self):
