@@ -255,6 +255,38 @@ def touching_region(adj: Sequence[int], m: int, needs: Sequence[int]) -> int:
     return region
 
 
+def has_touching_component(
+    adj: Sequence[int], m: int, needs: Sequence[int]
+) -> bool:
+    """Whether some component of ``G[m]`` meets every mask in ``needs``
+    (at least one).
+
+    Grows the components seeded from ``m & needs[0]``, breadth first, and
+    stops as soon as the one being grown meets every need.
+    """
+    seeds = m & needs[0]
+    while seeds:
+        comp = frontier = seeds & -seeds
+        missing = [t for t in needs[1:] if not t & comp]
+        while missing:
+            grown = 0
+            f = frontier
+            while f:
+                low = f & -f
+                grown |= adj[low.bit_length() - 1]
+                f ^= low
+            grown &= m & ~comp
+            if not grown:
+                break
+            comp |= grown
+            frontier = grown
+            missing = [t for t in missing if not t & grown]
+        else:
+            return True
+        seeds &= ~comp
+    return False
+
+
 # ---------------------------------------------------------------------------
 # structural operations
 

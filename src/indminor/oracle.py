@@ -29,6 +29,18 @@ closed neighborhoods of the non-adjacent ones.  Singleton bags are the set
 bits of that mask in ascending order; larger bags are connected sets grown
 from a root inside it.
 
+Forward check: after each placement with at least two positions left, the
+unplaced pattern vertices that non-free pattern edges join into a group
+must still have room: the union of their candidate regions must hold a
+connected set touching every placed bag the group is joined to
+(Haralick & Elliott, "Increasing tree search efficiency for constraint
+satisfaction problems", Artificial Intelligence 1980).  A placement that
+fails has no extension, so for a full order the check changes what the walk
+visits, not what it yields; pattern vertices outside the order count as
+bags the caller completes.  The tables of the walk and of the check depend only on the
+pattern, the order, the caps and the free pairs, and are built once per
+such key in a bounded cache.
+
 Twin rule: when swapping two pattern vertices of the same cap preserves the
 pattern and the free pairs, only the assignment in which the later one's
 bag lies above the lowest vertex of the earlier one's bag is made, one mask
@@ -47,6 +59,7 @@ of a prefix with a few mask operations.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (
@@ -57,6 +70,7 @@ from .graphs import (
     bits,
     complete_graph,
     component_masks,
+    has_touching_component,
     is_connected_mask,
     mask_of,
     neighbor_mask,
@@ -299,31 +313,31 @@ def _connected_sets(adj: Sequence[int], allowed: int, cap: int) -> Iterator[int]
                 stack.append((grown, ext | (nw & above & ~seen), seen | nw))
 
 
-def _walk_premodels(
-    host: Graph,
-    pattern: Graph,
-    order: Sequence[int],
-    caps: Sequence[int],
-    free: Sequence[int] | None,
-    whole_last: bool,
-) -> Iterator[tuple[int, ...]]:
-    """The walk of :func:`iter_premodels`; with ``whole_last`` the last
-    vertex of ``order`` (cap 1) takes its whole non-empty candidate mask in
-    one step, as :func:`iter_premodel_prefixes` yields it."""
-    hadj, padj = host.adj, pattern.adj
-    bags = [0] * pattern.n
-    k = len(order)
-    if k == 0:
-        yield tuple(bags)
-        return
-    if any(caps[u] < 1 for u in order):
-        return
-    mates = free if free is not None else [0] * pattern.n
-    whole = k - 1 if whole_last else -1
-    full = host.full_mask()
-    degree_masks: dict[int, int] = {}
-    # per position: the cap, the placed vertices the bag must touch and must
-    # avoid, the host vertices it may occupy, and its latest earlier twin
+@lru_cache(maxsize=256)
+def _walk_plan(
+    padj: tuple[int, ...],
+    order: tuple[int, ...],
+    caps: tuple[int, ...],
+    mates: tuple[int, ...],
+) -> tuple[tuple, tuple]:
+    """The host-independent tables of :func:`_walk_premodels`, built once
+    per pattern, order, caps and free pairs.
+
+    ``levels[i]`` holds, for position ``i``: the cap, the placed vertices
+    the bag must touch and must avoid, the pattern degree its single host
+    vertex needs (0 for none), and its latest earlier twin (-1 for none).
+
+    ``checks[i]`` holds the forward-check groups tested after position ``i``
+    is placed, when at least two positions remain.  A group is a component
+    of the unplaced pattern vertices (those later in ``order`` and those
+    outside it) under the non-free pattern edges; its needs are the placed
+    vertices joined to it by a non-free edge, and only groups with two or
+    more needs are kept.  A group is ``(size, members, needs)``, and each
+    member is the ``(avoid, touch, twin)`` that bounds its region; a member
+    whose region always lies inside another's is left out.
+    """
+    n = len(padj)
+    position = {u: i for i, u in enumerate(order)}
     levels = []
     for i, u in enumerate(order):
         pu, mu, bu = padj[u], mates[u], 1 << u
@@ -339,26 +353,110 @@ def _walk_premodels(
                 twin = w
             if not mu & bw:
                 (touch if pu & bw else avoid).append(w)
-        room = full
-        if caps[u] == 1 and not mu:
-            d = pu.bit_count()
-            if d not in degree_masks:
-                degree_masks[d] = mask_of(
-                    x for x in range(host.n) if hadj[x].bit_count() >= d
+        degree = pu.bit_count() if caps[u] == 1 and not mu else 0
+        levels.append((caps[u], tuple(touch), tuple(avoid), degree, twin))
+    checks = []
+    for i in range(len(order)):
+        groups = []
+        placed = order[: i + 1]
+        unplaced = (1 << n) - 1 & ~mask_of(placed) if i + 2 < len(order) else 0
+        while unplaced:
+            group = frontier = unplaced & -unplaced
+            while frontier:  # grow along the non-free pattern edges
+                v = frontier.bit_length() - 1
+                grown = padj[v] & ~mates[v] & unplaced & ~group
+                group |= grown
+                frontier = (frontier ^ (1 << v)) | grown
+            unplaced &= ~group
+            members = list(bits(group))
+            needs = tuple(
+                w for w in placed
+                if any(padj[m] >> w & 1 and not mates[m] >> w & 1 for m in members)
+            )
+            if len(needs) < 2:
+                continue
+            regions = []
+            for m in members:
+                avoid = tuple(
+                    w for w in placed if not (padj[m] | mates[m]) >> w & 1
                 )
-            room = degree_masks[d]
-        levels.append((caps[u], touch, avoid, room, twin))
+                touch, twin = (), -1
+                if m in position:
+                    _, level_touch, _, _, level_twin = levels[position[m]]
+                    if caps[m] == 1:
+                        touch = tuple(w for w in level_touch if w in placed)
+                    if level_twin in placed:
+                        twin = level_twin
+                regions.append((avoid, touch, twin))
+            regions.sort(key=lambda r: len(r[0]) + len(r[1]) + (r[2] >= 0))
+            kept: list[tuple] = []
+            for avoid, touch, twin in regions:
+                if not any(
+                    set(ka) <= set(avoid) and set(kt) <= set(touch)
+                    and kw in (-1, twin)
+                    for ka, kt, kw in kept
+                ):
+                    kept.append((avoid, touch, twin))
+            groups.append((len(members), tuple(kept), needs))
+        checks.append(tuple(groups))
+    return tuple(levels), tuple(checks)
+
+
+def _walk_premodels(
+    host: Graph,
+    pattern: Graph,
+    order: Sequence[int],
+    caps: Sequence[int],
+    free: Sequence[int] | None,
+    whole_last: bool,
+) -> Iterator[tuple[int, ...]]:
+    """The walk of :func:`iter_premodels` over the tables of
+    :func:`_walk_plan`; with ``whole_last`` the last vertex of ``order``
+    (cap 1) takes its whole non-empty candidate mask in one step, as
+    :func:`iter_premodel_prefixes` yields it.
+
+    Forward check: after placing position ``i`` with at least two positions
+    left, each check group's region ``D`` is the union of its members'
+    regions: the unused host vertices outside the closed neighbourhoods of
+    the placed non-neighbours, above the placed twin's lowest vertex, and,
+    for a cap-1 member, inside every placed neighbour's neighbourhood.  The
+    placement is dropped when ``D`` has fewer vertices than the group, or
+    when no component of ``G[D]`` meets the neighbourhood of every need.
+    Regions only shrink as bags are placed, so in any extension each bag of
+    the group lies inside its member's region, and their union is connected
+    and touches every need; a dropped placement has no extension.
+    """
+    hadj = host.adj
+    bags = [0] * pattern.n
+    k = len(order)
+    if k == 0:
+        yield tuple(bags)
+        return
+    mates = tuple(free) if free is not None else (0,) * pattern.n
+    plan_levels, checks = _walk_plan(pattern.adj, tuple(order), tuple(caps), mates)
+    if any(level[0] < 1 for level in plan_levels):
+        return
+    whole = k - 1 if whole_last else -1
+    full = host.full_mask()
+    degree_masks: dict[int, int] = {0: full}
+    levels = []
+    for cap, touch, avoid, degree, twin in plan_levels:
+        if degree not in degree_masks:
+            degree_masks[degree] = mask_of(
+                x for x in range(host.n) if hadj[x].bit_count() >= degree
+            )
+        levels.append((cap, touch, avoid, degree_masks[degree], twin))
     nbr = [0] * pattern.n  # open neighborhood of each placed bag
+    closed = [0] * pattern.n  # closed neighborhood of each placed bag
     used = [0] * k  # host vertices taken before each position
 
     def candidates(i: int) -> int | Iterator[int]:
         cap, touch, avoid, room, twin = levels[i]
         allowed = room & ~used[i]
         for w in avoid:
-            allowed &= ~(nbr[w] | bags[w])
+            allowed &= ~closed[w]
         if twin >= 0:
-            low = bags[twin] & -bags[twin]
-            allowed &= ~((low << 1) - 1)
+            allowed &= -((bags[twin] & -bags[twin]) << 1)
         if cap == 1:
             for w in touch:
                 allowed &= nbr[w]
@@ -370,6 +468,28 @@ def _walk_premodels(
             m for m in _connected_sets(hadj, allowed, cap)
             if all(m & t for t in needs)
         )
+
+    def extendable(groups: tuple, space: int) -> bool:
+        for size, members, needs in groups:
+            region = 0
+            for avoid, touch, twin in members:
+                r = space
+                for w in avoid:
+                    r &= ~closed[w]
+                for w in touch:
+                    r &= nbr[w]
+                if twin >= 0:
+                    r &= -((bags[twin] & -bags[twin]) << 1)
+                region |= r
+            if region.bit_count() < size:
+                return False
+            touched = [nbr[w] for w in needs]
+            for t in touched:
+                if not region & t:
+                    return False
+            if not has_touching_component(hadj, region, touched):
+                return False
+        return True
 
     pending: list[int | Iterator[int]] = [0] * k
     pending[0] = candidates(0)
@@ -394,6 +514,9 @@ def _walk_premodels(
             nbr[u] = neighbor_mask(hadj, bag)
         else:
             nbr[u] = hadj[bag.bit_length() - 1]
+        closed[u] = nbr[u] | bag
+        if checks[i] and not extendable(checks[i], full & ~(used[i] | bag)):
+            continue
         i += 1
         used[i] = used[i - 1] | bag
         pending[i] = candidates(i)
@@ -415,6 +538,13 @@ def iter_premodel_prefixes(
     ascending order, gives exactly the sequence of :func:`iter_premodels`;
     a caller that completes premodels can instead test a whole mask at once
     against what depends on the prefix alone.
+
+    The forward check of :func:`iter_premodels` runs on the placements of
+    every position but the last two; the last vertex's candidate mask, and
+    the caller's test of each prefix, do the rest.  Pattern vertices outside
+    ``order`` take part in the check as connected bags of any size with
+    exact adjacency, as a flower's centre is completed, so a dropped prefix
+    is one that no such completion extends.
     """
     if not order or caps[order[-1]] != 1:
         raise ValueError("the last vertex of order needs cap 1")
@@ -445,6 +575,19 @@ def iter_premodels(
     least the pattern degree.  Larger bags are the connected sets of the
     candidate mask (:func:`_connected_sets`) that touch every adjacent
     placed bag.
+
+    Forward check: after each placement that leaves at least two positions,
+    every group of unplaced pattern vertices joined by non-free edges, and
+    joined to two or more placed bags, must find inside the union of its
+    members' candidate regions at least one vertex per member and a
+    connected set that touches each of those placed bags; otherwise the
+    placement is dropped.  Regions only shrink as the walk goes on, so a
+    dropped placement has no extension, and for a full ``order`` the output
+    is the same with the check as without it.  Pattern vertices outside
+    ``order`` count as unplaced: the check assumes the caller completes them
+    as connected bags, disjoint from the others, with exact adjacency to
+    every bag outside the free pairs, and a dropped placement is one that
+    no such completion extends.
 
     Twin rule: ``w`` earlier in ``order`` and ``u`` are twins when they have
     the same cap and swapping them preserves the pattern's adjacency and

@@ -137,6 +137,13 @@ def solve_snt_single(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     ascending order, and the first that completes gives the witness, so
     the premodel and the bag are those of a one-by-one walk over the whole
     host.
+
+    The centre lies outside the order, so the engine's forward check drops
+    every placement after which the centre and the unplaced vertices have
+    no connected room that touches the placed bags they are joined to.  On a
+    chordal host that is every placement of the first two vertices of
+    cycle_5 and cycle_6: a connected set touching both, outside their common
+    neighbours, would close an induced cycle of length at least 4.
     """
     _require_kind(pc, "flower")
     if h.n > g.n:
@@ -199,6 +206,12 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     call, which grows only the components that meet the neighbourhood of
     b's vertex; the paths come from mask-based
     :func:`~indminor.graphs.shortest_path_avoiding` searches.
+
+    A house's premodels are placed in the order ``a, u, v`` and then the
+    chain from ``c`` back to ``b``: ``c`` must touch ``v``'s vertex, each
+    later chain vertex the one before it, and ``b``, free with ``u`` and
+    so constrained by no earlier placement, comes last.  A bull keeps the
+    order ``a, u, v``, the chain up to its split, then the rest reversed.
     """
     _require_kind(pc, "generalized_house", "generalized_bull")
     if h.n > g.n:
@@ -215,7 +228,7 @@ def solve_house_bull(g: Graph, h: Graph, pc: PatternClass) -> Answer:
     if pc.kind == "generalized_bull":
         order = [a, u, v] + chain[: pc.split] + chain[pc.split :][::-1]
     else:
-        order = [a, u, v] + chain
+        order = [a, u, v] + chain[::-1]
     adj = g.adj
     full = g.full_mask()
 

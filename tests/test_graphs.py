@@ -16,6 +16,7 @@ from indminor.graphs import (
     component_masks,
     from_edgelist,
     from_graph6,
+    has_touching_component,
     induced_subgraph,
     is_complete_multipartite,
     is_p4_free,
@@ -176,6 +177,8 @@ class TestComponents:
         g = Graph.from_edges(5, [(0, 1), (2, 3)])
         assert touching_component(g.adj, 0b11111, [0b00110, 0b01000]) == 0b01100
         assert touching_component(g.adj, 0b11111, [0b00001, 0b10000]) == 0
+        assert has_touching_component(g.adj, 0b11111, [0b00110, 0b01000])
+        assert not has_touching_component(g.adj, 0b11111, [0b00001, 0b10000])
         assert touching_component(g.adj, 0b11110, []) == 0b00010
         assert touching_component(g.adj, 0, [0b11111]) == 0
         assert touching_component(g.adj, 0, []) == 0
@@ -196,6 +199,8 @@ class TestComponents:
             0,
         )
         assert touching_component(g.adj, m, needs) == expected
+        if needs:  # the early-exit test agrees on whether there is one
+            assert has_touching_component(g.adj, m, needs) == bool(expected)
 
 
 class TestBlocks:

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from conftest import is_chordal, ktree, naive_verify_model, pc_of, planted_host
+from indminor import solvers
 from indminor.catalog import named_graph
 from indminor.models import verify_model
 from indminor.oracle import clique_minor_test
@@ -44,6 +45,38 @@ def test_no_hole_flower_in_a_200_vertex_ktree(k):
     for name in FLOWER_HOLES:
         h = named_graph(name)
         assert not solve_snt_single(g, h, pc_of(h, "flower")).contains, name
+
+
+def test_flowers_on_chordal_hosts_yield_no_prefix(monkeypatch):
+    """The engine's forward check rejects every flower prefix on a chordal
+    host, so the completion region is never built.
+
+    cycle_5 and cycle_6 place the path b_1, b_2, ... of the cycle minus its
+    centre.  Once b_1 and b_2 are placed, the centre and the rest of the path
+    form one group that must touch N(b_1) and N(b_2) inside its region D.
+    Only the vertex after b_2 may meet N(b_2), in N(b_2) - N[b_1]; the
+    others stay outside N[b_2], and D misses b_1, b_2 and their common
+    neighbours.  A shortest path in G[D] from N(b_1) to N(b_2) then closes,
+    through b_2 and b_1, an induced cycle of at least 4 vertices, which a
+    chordal host does not have.
+    """
+    calls = []
+    region = solvers.touching_region
+
+    def counted(*args):
+        calls.append(args)
+        return region(*args)
+
+    monkeypatch.setattr(solvers, "touching_region", counted)
+    for name in ("cycle_5", "cycle_6"):
+        h = named_graph(name)
+        pc = pc_of(h, "flower")
+        for k in (2, 3):
+            for n in (20, 60, 120):
+                for seed in range(3):
+                    g = ktree(random.Random(seed), n, k)
+                    assert not solve_snt_single(g, h, pc).contains
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", range(3))

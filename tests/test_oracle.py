@@ -8,6 +8,7 @@ from conftest import (
     permuted,
     rand_graph,
 )
+from indminor import oracle
 from indminor.catalog import classify, named_graph
 from indminor.graphs import (
     Graph,
@@ -27,6 +28,7 @@ from indminor.oracle import (
     iter_premodels,
     rooted_clique_minor,
 )
+from indminor.solvers import _premodel_order
 
 
 class TestInducedMinorExhaustive:
@@ -314,6 +316,7 @@ def _engine_cases():
     house_free[u] = 1 << v | 1 << b
     house_free[v] = house_free[b] = 1 << u
     cases.append((house, [a, u, v, b, c], house_free))
+    cases.append((house, [a, u, v, c, b], house_free))
     return cases
 
 
@@ -381,3 +384,75 @@ class TestPremodelEngine:
             iter_premodel_prefixes(h, h, [0, 1], [1, 2, 1, 1])
         with pytest.raises(ValueError):
             iter_premodel_prefixes(h, h, [], [1] * 4)
+
+    @pytest.mark.parametrize("name", ["cycle_5", "cycle_6", "bowtie"])
+    def test_prefixes_of_a_flower_are_those_with_a_centre_bag(self, name, atlas):
+        """With the centre outside ``order``, the forward check drops only
+        placements that no connected centre bag completes: the expanded
+        prefixes hold every brute-force premodel that has a centre bag, are
+        brute-force premodels, and keep their order."""
+        if name == "bowtie":  # two triangles on the centre 0: two twin pairs
+            h = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+        else:
+            h = named_graph(name)
+        centre = next(pc for pc in classify(h) if pc.kind == "flower").center
+        order = _premodel_order(h, centre)
+        free = [0] * h.n
+        for g in atlas:
+            if g.n < h.n:
+                continue
+            want = _brute_premodels(g, h, order, free, 1)
+            index = {_key(p): i for i, p in enumerate(want)}
+            got = []
+            for prefix in iter_premodel_prefixes(g, h, order, [1] * h.n):
+                for x in range(g.n):
+                    if prefix[order[-1]] >> x & 1:
+                        bags = list(prefix)
+                        bags[order[-1]] = 1 << x
+                        got.append(tuple(bags))
+            seen = [index[_key(p)] for p in _as_dicts(g, order, got)]
+            assert seen == sorted(set(seen))
+            subsets = [frozenset(s) for s in connected_subsets(g)]
+            for i, placed in enumerate(want):
+                taken = frozenset().union(*placed.values())
+                completes = any(
+                    not bag & taken
+                    and all(
+                        any(g.has_edge(x, y) for x in bag for y in placed[w])
+                        == h.has_edge(centre, w)
+                        for w in order
+                    )
+                    for bag in subsets
+                )
+                assert completes <= (i in seen)
+
+    def test_plans_are_cached_by_value(self):
+        h1 = named_graph("cycle_5")
+        h2 = Graph.from_edges(5, [(4, 0), (3, 4), (2, 3), (1, 2), (0, 1)])
+        assert h1 is not h2 and h1 == h2
+        g = named_graph("cycle_5")
+        order = [0, 1, 2, 3, 4]
+        oracle._walk_plan.cache_clear()
+        first = list(iter_premodels(g, h1, order, [1] * 5))
+        assert first and list(iter_premodels(g, h2, list(order), [1] * 5)) == first
+        info = oracle._walk_plan.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
+        assert info.maxsize is not None
+
+    def test_plans_follow_the_callers_lists(self):
+        h = named_graph("cycle_5")
+        order = [0, 1, 2, 3, 4]
+        caps, free = [1] * 5, [0] * 5
+        c6, prism = named_graph("cycle_6"), named_graph("prism")
+        assert list(iter_premodels(c6, h, order, caps, free)) == []
+        caps[2] = 2  # C6 with one edge contracted is C5
+        grown = list(iter_premodels(c6, h, order, caps, free))
+        assert grown and grown == list(
+            iter_premodels(c6, h, [0, 1, 2, 3, 4], [1, 1, 2, 1, 1], [0] * 5)
+        )
+        assert list(iter_premodels(prism, h, order, caps, free)) == []
+        free[0], free[2] = 1 << 2, 1 << 0
+        freed = list(iter_premodels(prism, h, order, caps, free))
+        assert freed and freed == list(
+            iter_premodels(prism, h, order, [1, 1, 2, 1, 1], [4, 0, 1, 0, 0])
+        )
